@@ -96,7 +96,7 @@ impl BaselineMapper for DfSynthesizerMapper {
         if n as usize > mesh.len() {
             return Err(CoreError::MeshTooSmall { clusters: n, cores: mesh.len() });
         }
-        let mut placement = random_placement(pcn, mesh, self.seed)?;
+        let mut placement = random_placement(pcn, mesh, self.seed, None)?;
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xDF5);
         let total = self.proposals_per_cluster.saturating_mul(n as u64);
         let mut iterations = 0u64;
@@ -136,7 +136,7 @@ mod tests {
         let pcn = random_pcn(36, 4.0, 9).unwrap();
         let mesh = Mesh::new(6, 6).unwrap();
         let cost = CostModel::paper_target();
-        let start = random_placement(&pcn, mesh, 4).unwrap();
+        let start = random_placement(&pcn, mesh, 4, None).unwrap();
         let out = DfSynthesizerMapper::new(4).map(&pcn, mesh, Budget::unlimited()).unwrap();
         let e0 = energy(&pcn, &start, cost).unwrap();
         let e1 = energy(&pcn, &out.placement, cost).unwrap();
@@ -149,7 +149,7 @@ mod tests {
         let mesh = Mesh::new(5, 5).unwrap();
         let cost = CostModel::paper_target();
         let mapper = DfSynthesizerMapper::new(0);
-        let mut placement = random_placement(&pcn, mesh, 1).unwrap();
+        let mut placement = random_placement(&pcn, mesh, 1, None).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         for _ in 0..50 {
             let a = mesh.coord_of_index(rng.gen_range(0..mesh.len()));

@@ -108,7 +108,7 @@ impl BaselineMapper for PsoMapper {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x9507);
         let mut particles: Vec<Placement> = (0..self.swarm)
-            .map(|k| random_placement(pcn, mesh, self.seed.wrapping_add(k as u64)))
+            .map(|k| random_placement(pcn, mesh, self.seed.wrapping_add(k as u64), None))
             .collect::<Result<_, _>>()?;
         // Personal bests live in parallel vectors so a particle can be
         // mutated while its own best is read without cloning (cloning a
@@ -179,7 +179,7 @@ mod tests {
         let pcn = random_pcn(25, 4.0, 13).unwrap();
         let mesh = Mesh::new(5, 5).unwrap();
         let cost = CostModel::paper_target();
-        let rnd = random_placement(&pcn, mesh, 0).unwrap();
+        let rnd = random_placement(&pcn, mesh, 0, None).unwrap();
         let out = PsoMapper::new(0)
             .with_generations(30)
             .map(&pcn, mesh, Budget::unlimited())

@@ -40,7 +40,7 @@ impl BaselineMapper for RandomMapper {
 
     fn map(&self, pcn: &Pcn, mesh: Mesh, _budget: Budget) -> Result<BaselineOutcome, CoreError> {
         Ok(BaselineOutcome {
-            placement: random_placement(pcn, mesh, self.seed)?,
+            placement: random_placement(pcn, mesh, self.seed, None)?,
             iterations: 0,
             early_stopped: false,
         })

@@ -136,7 +136,7 @@ mod tests {
         let cost = CostModel::paper_target();
         let tn = TrueNorthMapper::new().map(&pcn, mesh, Budget::unlimited()).unwrap();
         let e_tn = energy(&pcn, &tn.placement, cost).unwrap();
-        let e_rnd = energy(&pcn, &random_placement(&pcn, mesh, 0).unwrap(), cost).unwrap();
+        let e_rnd = energy(&pcn, &random_placement(&pcn, mesh, 0, None).unwrap(), cost).unwrap();
         assert!(e_tn < e_rnd, "TrueNorth {e_tn} should beat random {e_rnd}");
     }
 

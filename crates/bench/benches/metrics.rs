@@ -12,7 +12,7 @@ fn bench_metrics(c: &mut Criterion) {
     for clusters in [1024u32, 4096] {
         let pcn = random_pcn(clusters, 4.0, 5).unwrap();
         let mesh = Mesh::square_for(clusters as u64).unwrap();
-        let p = hsc_placement(&pcn, mesh).unwrap();
+        let p = hsc_placement(&pcn, mesh, None, 1).unwrap();
         g.bench_with_input(BenchmarkId::new("energy", clusters), &clusters, |b, _| {
             b.iter(|| energy(black_box(&pcn), black_box(&p), cost).unwrap())
         });

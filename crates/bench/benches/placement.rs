@@ -16,7 +16,7 @@ fn bench_pipeline(c: &mut Criterion) {
             b.iter(|| toposort(black_box(&pcn)))
         });
         g.bench_with_input(BenchmarkId::new("hsc_init", clusters), &clusters, |b, _| {
-            b.iter(|| hsc_placement(black_box(&pcn), mesh).unwrap())
+            b.iter(|| hsc_placement(black_box(&pcn), mesh, None, 1).unwrap())
         });
         g.bench_with_input(BenchmarkId::new("full_mapper", clusters), &clusters, |b, _| {
             b.iter(|| Mapper::builder().build().map(black_box(&pcn), mesh).unwrap())

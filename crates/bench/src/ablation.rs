@@ -3,10 +3,13 @@
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use snnmap_core::{force_directed, hsc_placement, FdConfig, Potential, TensionMode};
-use snnmap_hw::{CostModel, Mesh};
+use snnmap_core::{
+    force_directed, hsc_placement, CoreError, FdConfig, FdRunOpts, FdStats, Potential, TensionMode,
+};
+use snnmap_hw::{CostModel, Mesh, Placement};
 use snnmap_metrics::energy;
 use snnmap_model::Pcn;
+use snnmap_trace::NoopSink;
 
 /// One ablation measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -23,6 +26,11 @@ pub struct AblationRecord {
     pub elapsed_secs: f64,
 }
 
+/// FD with no hardware restriction, run options or tracing.
+fn refine(pcn: &Pcn, p: &mut Placement, cfg: &FdConfig) -> Result<FdStats, CoreError> {
+    force_directed(pcn, p, cfg, None, None, &mut FdRunOpts::default(), &mut NoopSink)
+}
+
 /// Sweeps λ over the HSC-initialized FD run (§4.5 design choice 2 fixes
 /// λ = 30% as the practical speed/quality balance; this regenerates the
 /// evidence).
@@ -36,10 +44,10 @@ pub fn lambda_sweep(pcn: &Pcn, mesh: Mesh, lambdas: &[f64]) -> Vec<AblationRecor
     lambdas
         .iter()
         .map(|&lambda| {
-            let mut placement = hsc_placement(pcn, mesh).expect("benchmark fits mesh");
+            let mut placement = hsc_placement(pcn, mesh, None, 1).expect("benchmark fits mesh");
             let cfg = FdConfig { lambda, ..FdConfig::default() };
             let t = Instant::now();
-            let stats = force_directed(pcn, &mut placement, &cfg).expect("complete placement");
+            let stats = refine(pcn, &mut placement, &cfg).expect("complete placement");
             AblationRecord {
                 setting: format!("lambda={lambda:.2}"),
                 energy: energy(pcn, &placement, cost).expect("placed"),
@@ -68,10 +76,10 @@ pub fn potential_sweep(pcn: &Pcn, mesh: Mesh) -> Vec<AblationRecord> {
     potentials
         .iter()
         .map(|(name, potential)| {
-            let mut placement = hsc_placement(pcn, mesh).expect("benchmark fits mesh");
+            let mut placement = hsc_placement(pcn, mesh, None, 1).expect("benchmark fits mesh");
             let cfg = FdConfig { potential: *potential, ..FdConfig::default() };
             let t = Instant::now();
-            let stats = force_directed(pcn, &mut placement, &cfg).expect("complete placement");
+            let stats = refine(pcn, &mut placement, &cfg).expect("complete placement");
             AblationRecord {
                 setting: format!("potential={name}"),
                 energy: energy(pcn, &placement, cost).expect("placed"),
@@ -94,10 +102,10 @@ pub fn tension_mode_sweep(pcn: &Pcn, mesh: Mesh) -> Vec<AblationRecord> {
     [(TensionMode::Exact, "tension=exact"), (TensionMode::PaperNaive, "tension=naive(paper)")]
         .into_iter()
         .map(|(mode, name)| {
-            let mut placement = hsc_placement(pcn, mesh).expect("benchmark fits mesh");
+            let mut placement = hsc_placement(pcn, mesh, None, 1).expect("benchmark fits mesh");
             let cfg = FdConfig { tension_mode: mode, ..FdConfig::default() };
             let t = Instant::now();
-            let stats = force_directed(pcn, &mut placement, &cfg).expect("complete placement");
+            let stats = refine(pcn, &mut placement, &cfg).expect("complete placement");
             AblationRecord {
                 setting: name.to_string(),
                 energy: energy(pcn, &placement, cost).expect("placed"),

@@ -21,7 +21,7 @@ use snnmap_hw::{Board, CostModel, FaultMap, Placement};
 use snnmap_io::render_placement;
 use snnmap_model::generators::random_pcn;
 use snnmap_model::{Pcn, PcnBuilder};
-use snnmap_trace::sha256_hex;
+use snnmap_trace::{sha256_hex, NoopSink};
 
 /// One map-then-kill-then-repair measurement at a given thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -220,13 +220,14 @@ fn degraded_demo() -> DegradedSection {
     for _ in 0..2 {
         let mut repaired = healthy.clone();
         let report = mapper
-            .repair_incremental(
+            .repair_incremental_traced(
                 &pcn,
                 &mut repaired,
                 &previous,
                 &current,
                 REPAIR_RADIUS,
                 RunBudget { max_sweeps: Some(REPAIR_SWEEPS), ..RunBudget::default() },
+                &mut NoopSink,
             )
             .expect("degraded repair is Ok, not Err");
         reports.push(report.degraded.expect("capacity shortfall is reported"));
@@ -295,7 +296,8 @@ fn main() {
             budget: RunBudget { max_sweeps: Some(args.sweeps), ..RunBudget::default() },
             ..FdRunOpts::default()
         };
-        let healthy = mapper.map_budgeted(&pcn, mesh, &mut opts).expect("healthy map");
+        let healthy =
+            mapper.map_budgeted_traced(&pcn, mesh, &mut opts, &mut NoopSink).expect("healthy map");
         let map_secs = t0.elapsed().as_secs_f64();
         let baseline_digest = digest(&healthy.placement);
         let baseline_energy = energy_of(&pcn, &healthy.placement);
@@ -306,13 +308,14 @@ fn main() {
         let mut repaired = healthy.placement.clone();
         let t1 = Instant::now();
         let report = mapper
-            .repair_incremental(
+            .repair_incremental_traced(
                 &pcn,
                 &mut repaired,
                 &previous,
                 &current,
                 REPAIR_RADIUS,
                 RunBudget { max_sweeps: Some(REPAIR_SWEEPS), ..RunBudget::default() },
+                &mut NoopSink,
             )
             .expect("chip evacuation");
         let repair_secs = t1.elapsed().as_secs_f64();
@@ -371,7 +374,8 @@ fn main() {
         budget: RunBudget { max_sweeps: Some(args.sweeps), ..RunBudget::default() },
         ..FdRunOpts::default()
     };
-    let remapped = remapper.map_budgeted(&pcn, mesh, &mut opts).expect("full remap");
+    let remapped =
+        remapper.map_budgeted_traced(&pcn, mesh, &mut opts, &mut NoopSink).expect("full remap");
     let remap_secs = t2.elapsed().as_secs_f64();
     validate_board(&pcn, &remapped.placement, Some(&current), &args.board)
         .expect("remapped placement is capacity-valid and fault-masked");

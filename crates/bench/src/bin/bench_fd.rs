@@ -14,9 +14,10 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use snnmap_bench::table::{write_json, Table};
-use snnmap_core::{force_directed, hsc_placement_threaded, FdConfig};
+use snnmap_core::{force_directed, hsc_placement, FdConfig, FdRunOpts};
 use snnmap_hw::{Mesh, Placement};
 use snnmap_model::generators::random_pcn;
+use snnmap_trace::NoopSink;
 
 /// One (thread count) measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -214,7 +215,7 @@ fn main() {
         eprintln!("[bench_fd] threads={threads}: init + FD on {}...", args.mesh);
         let t0 = Instant::now();
         let mut placement =
-            hsc_placement_threaded(&pcn, args.mesh, threads).expect("initial placement");
+            hsc_placement(&pcn, args.mesh, None, threads).expect("initial placement");
         let init_secs = t0.elapsed().as_secs_f64();
 
         let config = FdConfig {
@@ -223,7 +224,10 @@ fn main() {
             ..FdConfig::default()
         };
         let t1 = Instant::now();
-        let stats = force_directed(&pcn, &mut placement, &config).expect("FD");
+        let mut opts = FdRunOpts::default();
+        let stats =
+            force_directed(&pcn, &mut placement, &config, None, None, &mut opts, &mut NoopSink)
+                .expect("FD");
         let fd_secs = t1.elapsed().as_secs_f64();
 
         runs.push(FdRun {

@@ -19,9 +19,7 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 use snnmap_bench::table::{write_json, Table};
-use snnmap_core::{
-    force_directed_budgeted, hsc_placement_threaded, FdConfig, FdRunOpts, Objective,
-};
+use snnmap_core::{force_directed, hsc_placement, FdConfig, FdRunOpts, Objective};
 use snnmap_hw::{CostModel, Mesh, Placement};
 use snnmap_metrics::{congestion_map, energy};
 use snnmap_model::generators::table3_suite;
@@ -208,7 +206,7 @@ fn run_point(
 
     let mut reference: Option<(Placement, u64, u64, String)> = None;
     for &t in threads {
-        let mut placement = hsc_placement_threaded(pcn, mesh, t).expect("initial placement");
+        let mut placement = hsc_placement(pcn, mesh, None, t).expect("initial placement");
         let config = FdConfig {
             objective,
             reweight_every: (reweight > 0).then_some(reweight),
@@ -223,7 +221,7 @@ fn run_point(
             opts.reweighter = Some(h);
         }
         let stats =
-            force_directed_budgeted(pcn, &mut placement, &config, None, &mut opts, &mut NoopSink)
+            force_directed(pcn, &mut placement, &config, None, None, &mut opts, &mut NoopSink)
                 .expect("FD");
         let d = digest(&placement, pcn.num_clusters());
         match &reference {

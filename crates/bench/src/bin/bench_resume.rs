@@ -19,7 +19,7 @@ use snnmap_core::{FdCheckpoint, FdRunOpts, Mapper, RunBudget};
 use snnmap_hw::{Coord, FaultMap, Mesh, Placement};
 use snnmap_io::render_placement;
 use snnmap_model::generators::random_pcn;
-use snnmap_trace::sha256_hex;
+use snnmap_trace::{sha256_hex, NoopSink};
 
 /// One interrupted-and-resumed measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -198,7 +198,9 @@ fn main() {
             budget: RunBudget { max_sweeps: Some(args.sweeps), ..RunBudget::default() },
             ..FdRunOpts::default()
         };
-        let full = mapper.map_budgeted(&pcn, args.mesh, &mut opts).expect("reference run");
+        let full = mapper
+            .map_budgeted_traced(&pcn, args.mesh, &mut opts, &mut NoopSink)
+            .expect("reference run");
         let full_secs = t0.elapsed().as_secs_f64();
         let full_stats = full.fd_stats.expect("FD ran");
         let full_digest = digest(&full.placement);
@@ -223,8 +225,9 @@ fn main() {
                     on_checkpoint: Some(&mut writer),
                     ..FdRunOpts::default()
                 };
-                let killed =
-                    mapper.map_budgeted(&pcn, args.mesh, &mut opts).expect("killed run");
+                let killed = mapper
+                    .map_budgeted_traced(&pcn, args.mesh, &mut opts, &mut NoopSink)
+                    .expect("killed run");
                 kill_stop = killed.fd_stats.expect("FD ran").stop.as_str().to_string();
             }
             let checkpoint = slot.expect("budgeted stop flushes a checkpoint");
@@ -234,7 +237,9 @@ fn main() {
                 budget: RunBudget { max_sweeps: Some(args.sweeps), ..RunBudget::default() },
                 ..FdRunOpts::default()
             };
-            let resumed = mapper.resume(&pcn, &checkpoint, &mut opts).expect("resumed run");
+            let resumed = mapper
+                .resume_traced(&pcn, &checkpoint, &mut opts, &mut NoopSink)
+                .expect("resumed run");
             let secs = t1.elapsed().as_secs_f64();
             let resumed_stats = resumed.fd_stats.expect("FD ran");
             let resumed_digest = digest(&resumed.placement);
@@ -294,13 +299,14 @@ fn main() {
     let mapper = Mapper::builder().threads(args.threads[0]).build();
     let mut repaired = live.clone();
     let report = mapper
-        .repair_incremental(
+        .repair_incremental_traced(
             &pcn,
             &mut repaired,
             &previous,
             &current,
             2,
             RunBudget { max_sweeps: Some(args.sweeps), ..RunBudget::default() },
+            &mut NoopSink,
         )
         .expect("incremental repair");
 
@@ -310,8 +316,9 @@ fn main() {
         budget: RunBudget { max_sweeps: Some(args.sweeps), ..RunBudget::default() },
         ..FdRunOpts::default()
     };
-    let remapped =
-        full_mapper.map_budgeted(&pcn, args.mesh, &mut opts).expect("full remap");
+    let remapped = full_mapper
+        .map_budgeted_traced(&pcn, args.mesh, &mut opts, &mut NoopSink)
+        .expect("full remap");
     let full_remap_moved =
         (0..n).filter(|&c| remapped.placement.coord_of(c) != live.coord_of(c)).count() as u64;
     assert!(

@@ -27,11 +27,13 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use snnmap_bench::table::{write_json, Table};
 use snnmap_core::{
-    force_directed, hsc_placement_threaded, FdConfig, MapOutcome, Mapper, MultilevelConfig,
+    force_directed, hsc_placement, CoreError, FdConfig, FdRunOpts, FdStats, MapOutcome, Mapper,
+    MultilevelConfig,
 };
 use snnmap_hw::{Mesh, Placement};
 use snnmap_model::generators::{random_pcn, scramble_pcn};
 use snnmap_model::Pcn;
+use snnmap_trace::NoopSink;
 
 /// One multilevel run at one thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -278,6 +280,11 @@ fn ml_run(pcn: &Pcn, mesh: Mesh, threads: usize, final_sweeps: u64) -> MapOutcom
     ml_mapper(threads, final_sweeps).map(pcn, mesh).expect("multilevel mapping")
 }
 
+/// FD with no hardware restriction, run options or tracing.
+fn refine(pcn: &Pcn, p: &mut Placement, cfg: &FdConfig) -> Result<FdStats, CoreError> {
+    force_directed(pcn, p, cfg, None, None, &mut FdRunOpts::default(), &mut NoopSink)
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -392,20 +399,20 @@ fn main() {
 
                 let t0 = Instant::now();
                 let mut placement =
-                    hsc_placement_threaded(&pcn, mesh, threads).expect("initial placement");
+                    hsc_placement(&pcn, mesh, None, threads).expect("initial placement");
                 let config = FdConfig {
                     max_iterations: (args.flat_max_iters > 0)
                         .then_some(args.flat_max_iters),
                     threads,
                     ..FdConfig::default()
                 };
-                let stats = force_directed(&pcn, &mut placement, &config).expect("FD");
+                let stats = refine(&pcn, &mut placement, &config).expect("FD");
                 flat_secs.push(t0.elapsed().as_secs_f64());
                 flat_energy.push(stats.final_energy);
 
                 let t2 = Instant::now();
                 let mut placement =
-                    hsc_placement_threaded(&pcn, mesh, threads).expect("initial placement");
+                    hsc_placement(&pcn, mesh, None, threads).expect("initial placement");
                 let mut sweeps = 0u64;
                 let energy = loop {
                     let config = FdConfig {
@@ -413,7 +420,7 @@ fn main() {
                         threads,
                         ..FdConfig::default()
                     };
-                    let stats = force_directed(&pcn, &mut placement, &config).expect("FD");
+                    let stats = refine(&pcn, &mut placement, &config).expect("FD");
                     sweeps += stats.iterations;
                     if stats.final_energy <= target
                         || stats.converged

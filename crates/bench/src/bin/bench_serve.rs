@@ -1,7 +1,7 @@
 //! Service-layer load benchmark: N concurrent clients against an
 //! in-process `snnmap-serve` daemon, every returned placement asserted
 //! **byte-identical** (sha256 over the placement document) to a serial
-//! offline [`Mapper::map_budgeted`] run of the same spec — concurrency
+//! offline [`Mapper::map_budgeted_traced`] run of the same spec — concurrency
 //! must buy throughput without touching a single placement byte.
 //!
 //! ```text
@@ -24,7 +24,7 @@ use snnmap_hw::Mesh;
 use snnmap_io::{render_pcn, render_placement};
 use snnmap_model::generators::random_pcn;
 use snnmap_serve::{ServeConfig, Server};
-use snnmap_trace::sha256_hex;
+use snnmap_trace::{sha256_hex, NoopSink};
 
 /// One job's round trip through the daemon, checked against its serial
 /// offline twin.
@@ -295,7 +295,9 @@ fn main() {
                 budget: RunBudget { max_sweeps: Some(args.sweeps), ..RunBudget::default() },
                 ..FdRunOpts::default()
             };
-            let outcome = mapper.map_budgeted(&pcn, mesh, &mut opts).expect("offline run");
+            let outcome = mapper
+                .map_budgeted_traced(&pcn, mesh, &mut opts, &mut NoopSink)
+                .expect("offline run");
             sha256_hex(render_placement(&outcome.placement).as_bytes())
         })
         .collect();

@@ -39,11 +39,11 @@ use std::time::{Duration, Instant};
 use snnmap_hw::{Board, Coord, FaultMap, HwError, Mesh, Placement};
 use snnmap_model::Pcn;
 use snnmap_trace::{
-    CheckpointEvent, FdConfigEvent, FdDoneEvent, FdSweepEvent, NoopSink, ObjectiveEvent, ParEvent,
+    CheckpointEvent, FdConfigEvent, FdDoneEvent, FdSweepEvent, ObjectiveEvent, ParEvent,
     ResumeEvent, ReweightEvent, TraceEvent, TraceSink,
 };
 
-use crate::fd::potential::{with_kernel, CoordF, PotKernel};
+use crate::fd::potential::{with_kernel, PotKernel};
 use crate::objective::{Objective, ObjectiveState, ReweightOutcome, SweepReweighter};
 use crate::{par, CoreError, Potential};
 
@@ -250,8 +250,8 @@ pub struct FdCheckpoint {
 /// Resume state extracted from a checkpoint ([`FdRunOpts::resume`]).
 ///
 /// Deliberately excludes coordinates: the caller restores those into the
-/// [`Placement`] it passes in (see `Mapper::resume`), keeping this type a
-/// pure engine-state overlay.
+/// [`Placement`] it passes in (see `Mapper::resume_traced`), keeping this
+/// type a pure engine-state overlay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FdResume {
     /// Sweeps already completed (seeds the sweep counter).
@@ -280,8 +280,9 @@ impl FdResume {
 /// receives each flushed snapshot; an `Err` aborts the run.
 pub type CheckpointWriter<'h> = dyn FnMut(&FdCheckpoint) -> Result<(), String> + 'h;
 
-/// Per-run options of [`force_directed_budgeted`]: budget, resume state,
-/// checkpoint cadence and an optional region restriction.
+/// Per-run options of [`force_directed`]: budget, resume state,
+/// checkpoint cadence, an optional region restriction and the
+/// sim-in-the-loop hook.
 #[derive(Default)]
 pub struct FdRunOpts<'h> {
     /// Cooperative stop conditions (default: run to convergence).
@@ -303,14 +304,6 @@ pub struct FdRunOpts<'h> {
     /// everything outside the region stays exactly where it is (used by
     /// incremental fault repair). Length must equal the mesh size.
     pub region: Option<Vec<bool>>,
-    /// Enforce a board's per-core capacities: a swap that would land a
-    /// cluster on a core whose [`snnmap_hw::CoreConstraints`] cannot
-    /// admit it carries zero tension, exactly like a dead-core pair — so
-    /// every intermediate placement of the run stays capacity-feasible.
-    /// The filter is a pure function of occupancy and the static capacity
-    /// tables, which preserves the engine's bit-determinism across thread
-    /// counts. The board's mesh must equal the placement's.
-    pub board: Option<&'h Board>,
     /// Sim-in-the-loop heat source, consulted every
     /// [`FdConfig::reweight_every`] sweeps. `None` with a reweight
     /// cadence set falls back to the engine's own incremental congestion
@@ -328,7 +321,6 @@ impl fmt::Debug for FdRunOpts<'_> {
             .field("checkpoint_every", &self.checkpoint_every)
             .field("on_checkpoint", &self.on_checkpoint.is_some())
             .field("region", &self.region.as_ref().map(Vec::len))
-            .field("board", &self.board.is_some())
             .field("reweighter", &self.reweighter.is_some())
             .finish()
     }
@@ -406,167 +398,6 @@ fn select_top(queue: &mut [(f64, u64)], take: usize) {
         queue.select_nth_unstable_by(take - 1, cmp_entries);
     }
     queue[..take].sort_unstable_by(cmp_entries);
-}
-
-/// Runs the Force-Directed algorithm (Algorithm 3) on a complete
-/// placement, refining it in place.
-///
-/// Clusters are particles; each connection pulls its endpoints together
-/// with a strength given by the potential field and the connection's
-/// traffic weight. Adjacent core pairs whose occupants would lower the
-/// system energy when exchanged carry *positive tension*; every
-/// iteration swaps the top-λ fraction of the positive-tension queue
-/// (re-checking each pair just before its swap, §4.5 design choice 1),
-/// then re-scores tensions only around affected clusters (design
-/// choice 3). Iteration continues until no positive tension remains.
-///
-/// Pairs with one empty core are supported (the swap is a move), which
-/// handles the paper's non-full systems.
-///
-/// # Errors
-///
-/// [`CoreError::IncompletePlacement`] if any cluster is unplaced.
-///
-/// # Examples
-///
-/// ```
-/// use snnmap_core::{force_directed, random_placement, FdConfig};
-/// use snnmap_hw::Mesh;
-/// use snnmap_model::generators::random_pcn;
-///
-/// let pcn = random_pcn(64, 4.0, 2)?;
-/// let mesh = Mesh::new(8, 8)?;
-/// let mut placement = random_placement(&pcn, mesh, 0)?;
-/// let stats = force_directed(&pcn, &mut placement, &FdConfig::default())?;
-/// assert!(stats.final_energy <= stats.initial_energy);
-/// assert!(stats.converged);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn force_directed(
-    pcn: &Pcn,
-    placement: &mut Placement,
-    config: &FdConfig,
-) -> Result<FdStats, CoreError> {
-    force_directed_impl(pcn, placement, config, None, None, &mut FdRunOpts::default(), &mut NoopSink)
-}
-
-/// The fully-general Force-Directed entry point: optional fault mask,
-/// cooperative [`RunBudget`], checkpoint/resume and region restriction
-/// via [`FdRunOpts`], trace instrumentation via `sink`.
-///
-/// Whatever stops the run — convergence, deadline, sweep cap or
-/// cancellation — the placement left in `placement` is complete, valid
-/// and no worse (in system energy) than the input: budget expiry is an
-/// anytime outcome tagged in [`FdStats::stop`], never an error.
-///
-/// # Errors
-///
-/// As [`force_directed`] / [`force_directed_masked`], plus
-/// [`CoreError::InvalidRunOpts`] for inconsistent options (zero
-/// `checkpoint_every`, wrong resume force-table or region length),
-/// [`CoreError::CheckpointFailed`] when the checkpoint writer fails, and
-/// [`CoreError::WorkerPanicked`] when a parallel worker panics (the
-/// checkpoint writer is invoked best-effort first; the placement is left
-/// untouched).
-///
-/// # Examples
-///
-/// ```
-/// use snnmap_core::{force_directed_budgeted, random_placement, FdConfig, FdRunOpts, RunBudget};
-/// use snnmap_hw::Mesh;
-/// use snnmap_model::generators::random_pcn;
-/// use snnmap_trace::NoopSink;
-///
-/// let pcn = random_pcn(64, 4.0, 2)?;
-/// let mut placement = random_placement(&pcn, Mesh::new(8, 8)?, 0)?;
-/// let mut opts = FdRunOpts {
-///     budget: RunBudget { max_sweeps: Some(3), ..RunBudget::default() },
-///     ..FdRunOpts::default()
-/// };
-/// let stats = force_directed_budgeted(
-///     &pcn, &mut placement, &FdConfig::default(), None, &mut opts, &mut NoopSink,
-/// )?;
-/// assert!(stats.iterations <= 3);
-/// assert!(stats.final_energy <= stats.initial_energy);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn force_directed_budgeted<S: TraceSink + ?Sized>(
-    pcn: &Pcn,
-    placement: &mut Placement,
-    config: &FdConfig,
-    faults: Option<&FaultMap>,
-    opts: &mut FdRunOpts<'_>,
-    sink: &mut S,
-) -> Result<FdStats, CoreError> {
-    force_directed_impl(pcn, placement, config, faults, None, opts, sink)
-}
-
-/// [`force_directed`] with trace instrumentation: emits an `fd_config`
-/// header, one `fd_sweep` convergence record per sweep (queue size,
-/// λ cutoff, swaps applied, dirty/carried pair counts, post-sweep system
-/// energy), an `fd_done` summary and a `par` thread-pool utilization
-/// delta into `sink`.
-///
-/// The instrumentation is zero-cost when disabled: every probe — the
-/// per-sweep energy recomputation included — is guarded by
-/// [`TraceSink::enabled`], and with [`NoopSink`] (what
-/// [`force_directed`] passes) monomorphization removes it entirely, so
-/// the refined placement and [`FdStats`] are bit-identical with and
-/// without tracing by construction.
-///
-/// # Errors
-///
-/// As [`force_directed`].
-pub fn force_directed_traced<S: TraceSink + ?Sized>(
-    pcn: &Pcn,
-    placement: &mut Placement,
-    config: &FdConfig,
-    sink: &mut S,
-) -> Result<FdStats, CoreError> {
-    force_directed_impl(pcn, placement, config, None, None, &mut FdRunOpts::default(), sink)
-}
-
-/// [`force_directed_masked`] with trace instrumentation; see
-/// [`force_directed_traced`].
-///
-/// # Errors
-///
-/// As [`force_directed_masked`].
-pub fn force_directed_masked_traced<S: TraceSink + ?Sized>(
-    pcn: &Pcn,
-    placement: &mut Placement,
-    config: &FdConfig,
-    faults: &FaultMap,
-    sink: &mut S,
-) -> Result<FdStats, CoreError> {
-    force_directed_impl(pcn, placement, config, Some(faults), None, &mut FdRunOpts::default(), sink)
-}
-
-/// Fault-aware [`force_directed`]: swaps into or out of dead cores are
-/// never considered (their pairs carry zero tension), so the refinement
-/// explores only the healthy subgraph while keeping the monotone
-/// energy-descent guarantee — dead cores start empty and stay empty.
-///
-/// # Errors
-///
-/// [`HwError::FaultyCore`] (wrapped in [`CoreError::Hw`]) if the input
-/// placement already occupies a dead core; otherwise as
-/// [`force_directed`].
-pub fn force_directed_masked(
-    pcn: &Pcn,
-    placement: &mut Placement,
-    config: &FdConfig,
-    faults: &FaultMap,
-) -> Result<FdStats, CoreError> {
-    force_directed_impl(
-        pcn,
-        placement,
-        config,
-        Some(faults),
-        None,
-        &mut FdRunOpts::default(),
-        &mut NoopSink,
-    )
 }
 
 /// Builds a checkpoint and hands it to the caller's writer (a no-op
@@ -695,12 +526,85 @@ fn collect_queue(
     }
 }
 
-pub(crate) fn force_directed_impl<S: TraceSink + ?Sized>(
+/// Runs the Force-Directed algorithm (Algorithm 3) on a complete
+/// placement, refining it in place.
+///
+/// Clusters are particles; each connection pulls its endpoints together
+/// with a strength given by the potential field and the connection's
+/// traffic weight. Adjacent core pairs whose occupants would lower the
+/// system energy when exchanged carry *positive tension*; every
+/// iteration swaps the top-λ fraction of the positive-tension queue
+/// (re-checking each pair just before its swap, §4.5 design choice 1),
+/// then re-scores tensions only around affected clusters (design
+/// choice 3). Iteration continues until no positive tension remains.
+///
+/// Pairs with one empty core are supported (the swap is a move), which
+/// handles the paper's non-full systems.
+///
+/// The optional hardware arguments restrict which swaps are legal; a
+/// restricted pair carries zero tension, so the monotone energy-descent
+/// guarantee (eq. 31) holds on the legal subgraph:
+///
+/// * `faults` — swaps into or out of dead cores are never considered:
+///   dead cores start empty and stay empty.
+/// * `board` (over the placement's mesh) — a swap that would land a
+///   cluster on a core whose [`snnmap_hw::CoreConstraints`] cannot admit
+///   it is rejected, so every intermediate placement stays
+///   capacity-feasible, bit-identically for every thread count.
+///
+/// `opts` carries the cooperative [`RunBudget`], checkpoint/resume, a
+/// region restriction and the sim-in-the-loop hook
+/// (`FdRunOpts::default()` runs to convergence). Whatever stops the run —
+/// convergence, deadline, sweep cap or cancellation — the placement left
+/// in `placement` is complete, valid and no worse (in system energy) than
+/// the input: budget expiry is an anytime outcome tagged in
+/// [`FdStats::stop`], never an error.
+///
+/// `sink` receives an `fd_config` header, one `fd_sweep` convergence
+/// record per sweep (queue size, λ cutoff, swaps applied, dirty/carried
+/// pair counts, post-sweep system energy), an `fd_done` summary and a
+/// `par` record of this run's parallel-helper use. Every probe is guarded
+/// by [`TraceSink::enabled`], which [`NoopSink`](snnmap_trace::NoopSink)
+/// monomorphizes away, so the placement and [`FdStats`] are
+/// bit-identical with and without tracing by construction.
+///
+/// # Errors
+///
+/// [`CoreError::IncompletePlacement`] if any cluster is unplaced;
+/// [`HwError::FaultyCore`] (wrapped in [`CoreError::Hw`]) if the input
+/// placement already occupies a dead core; [`CoreError::InvalidLambda`]
+/// for λ outside `(0, 1]`; [`CoreError::InvalidRunOpts`] for inconsistent
+/// options (zero `checkpoint_every`, wrong resume force-table or region
+/// length, a board over another mesh); [`CoreError::CheckpointFailed`]
+/// when the checkpoint writer fails; and [`CoreError::WorkerPanicked`]
+/// when a parallel worker panics (the checkpoint writer is invoked
+/// best-effort first; the placement is left untouched).
+///
+/// # Examples
+///
+/// ```
+/// use snnmap_core::{force_directed, random_placement, FdConfig, FdRunOpts, RunBudget};
+/// use snnmap_hw::Mesh;
+/// use snnmap_model::generators::random_pcn;
+/// use snnmap_trace::NoopSink;
+///
+/// let pcn = random_pcn(64, 4.0, 2)?;
+/// let mut placement = random_placement(&pcn, Mesh::new(8, 8)?, 0, None)?;
+/// let cfg = FdConfig::default();
+/// // `FdRunOpts::default()` runs to convergence; this run stops after 3 sweeps.
+/// let budget = RunBudget { max_sweeps: Some(3), ..RunBudget::default() };
+/// let mut opts = FdRunOpts { budget, ..FdRunOpts::default() };
+/// let stats = force_directed(&pcn, &mut placement, &cfg, None, None, &mut opts, &mut NoopSink)?;
+/// assert!(stats.iterations <= 3);
+/// assert!(stats.final_energy <= stats.initial_energy);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn force_directed<S: TraceSink + ?Sized>(
     pcn: &Pcn,
     placement: &mut Placement,
     config: &FdConfig,
     faults: Option<&FaultMap>,
-    mapper_board: Option<&Board>,
+    board: Option<&Board>,
     opts: &mut FdRunOpts<'_>,
     sink: &mut S,
 ) -> Result<FdStats, CoreError> {
@@ -735,9 +639,7 @@ pub(crate) fn force_directed_impl<S: TraceSink + ?Sized>(
             });
         }
     }
-    let FdRunOpts { budget, resume, checkpoint_every, on_checkpoint, region, board, reweighter } =
-        opts;
-    let board = mapper_board.or(*board);
+    let FdRunOpts { budget, resume, checkpoint_every, on_checkpoint, region, reweighter } = opts;
     let threads = par::resolve_threads(config.threads);
     let mut engine = Engine::new(
         pcn,
@@ -784,7 +686,10 @@ pub(crate) fn force_directed_impl<S: TraceSink + ?Sized>(
         (_, None) if config.reweight_every.is_some() => Some(1_000),
         (_, cap) => cap,
     };
-    let par_before = sink.enabled().then(par::counters);
+    // The `par` record reports this run's own helper calls: the run's
+    // parallel phases are all invoked from this thread, so the
+    // thread-local counters exclude concurrent runs in the same process.
+    let par_before = sink.enabled().then(par::thread_counters);
     if sink.enabled() {
         sink.record(&TraceEvent::FdConfig(FdConfigEvent {
             potential: format!("{:?}", config.potential),
@@ -1107,7 +1012,7 @@ pub(crate) fn force_directed_impl<S: TraceSink + ?Sized>(
             stop: stats.stop.as_str().to_owned(),
         }));
         if let Some(before) = par_before {
-            let d = par::counters().since(before);
+            let d = par::thread_counters().since(before);
             sink.record(&TraceEvent::Par(ParEvent {
                 scope: "fd".to_owned(),
                 calls: d.calls,
@@ -1167,12 +1072,12 @@ struct Engine<'a> {
     /// read one `u16` array instead of a two-field struct.
     mesh_x: Vec<u16>,
     mesh_y: Vec<u16>,
-    /// SoA per-cluster coordinates in the distance kernel's scalar type
-    /// ([`CoordF`]), mirroring `pos` — always exact small integers. The
+    /// SoA per-cluster coordinates as the distance kernel's `f64`
+    /// scalars, mirroring `pos` — always exact small integers. The
     /// energy/force kernels stream these two dense arrays, which is what
     /// lets them auto-vectorize and keeps their gathers cache-resident.
-    cx: Vec<CoordF>,
-    cy: Vec<CoordF>,
+    cx: Vec<f64>,
+    cy: Vec<f64>,
     /// Merged adjacency CSR: row `c` is `out_edges(c)` followed by
     /// `in_edges(c)`, so force work walks one contiguous row per
     /// cluster. f32→f64 weight conversion is exact, so precomputing
@@ -1303,12 +1208,12 @@ impl<'a> Engine<'a> {
         let coords = mesh.coord_table();
         let mesh_x: Vec<u16> = coords.iter().map(|c| c.x).collect();
         let mesh_y: Vec<u16> = coords.iter().map(|c| c.y).collect();
-        let mut cx = vec![0 as CoordF; n];
-        let mut cy = vec![0 as CoordF; n];
+        let mut cx = vec![0.0; n];
+        let mut cy = vec![0.0; n];
         for c in 0..n {
             let p = pos[c] as usize;
-            cx[c] = mesh_x[p] as CoordF;
-            cy[c] = mesh_y[p] as CoordF;
+            cx[c] = mesh_x[p] as f64;
+            cy[c] = mesh_y[p] as f64;
         }
         let obj = if objective.is_energy() {
             None
@@ -1576,13 +1481,13 @@ impl<'a> Engine<'a> {
         let hx = self.cx[c as usize];
         let hy = self.cy[c as usize];
         let mut f = [0.0f64; 4];
-        let mut tx = [0 as CoordF; 4];
-        let mut ty = [0 as CoordF; 4];
+        let mut tx = [0.0; 4];
+        let mut ty = [0.0; 4];
         let mut valid = [false; 4];
         for d in 0..4 {
             if let Some(q) = self.step(p, d) {
-                tx[d] = self.mesh_x[q] as CoordF;
-                ty[d] = self.mesh_y[q] as CoordF;
+                tx[d] = self.mesh_x[q] as f64;
+                ty[d] = self.mesh_y[q] as f64;
                 valid[d] = true;
             }
         }
@@ -1717,8 +1622,8 @@ impl<'a> Engine<'a> {
     fn swap(&mut self, key: u64, epoch: u32, pos_stamp: &mut [u32]) {
         let (p, d) = self.decode(key);
         let Some(q) = self.step(p, d) else { return };
-        let (px, py) = (self.mesh_x[p] as CoordF, self.mesh_y[p] as CoordF);
-        let (qx, qy) = (self.mesh_x[q] as CoordF, self.mesh_y[q] as CoordF);
+        let (px, py) = (self.mesh_x[p] as f64, self.mesh_y[p] as f64);
+        let (qx, qy) = (self.mesh_x[q] as f64, self.mesh_y[q] as f64);
         let cu = self.occ[p];
         let cv = self.occ[q];
         self.occ[p] = cv;
@@ -1786,28 +1691,28 @@ impl<'a> Engine<'a> {
     /// Both the patches and the returned force accumulate their terms in
     /// edge (row) order with unchanged expression trees, so the results
     /// are bit-for-bit those of separate patch and rebuild passes. All
-    /// coordinate arithmetic runs on [`CoordF`] scalars (exact mesh
-    /// integers, so in the f64 build every displacement and bounds test
-    /// below reproduces the integer forms bit-for-bit), monomorphized
+    /// coordinate arithmetic runs on `f64` scalars (exact mesh integers,
+    /// so every displacement and bounds test below reproduces the integer
+    /// forms bit-for-bit), monomorphized
     /// through the potential kernel `kern` — no per-edge enum dispatch.
     #[allow(clippy::too_many_arguments)]
     fn patch_and_rebuild<K: PotKernel>(
         &mut self,
         kern: K,
         moved: u32,
-        from: (CoordF, CoordF),
-        to: (CoordF, CoordF),
+        from: (f64, f64),
+        to: (f64, f64),
         other: u32,
         epoch: u32,
         pos_stamp: &mut [u32],
     ) -> [f64; 4] {
-        let rows = self.rows as CoordF;
-        let cols = self.cols as CoordF;
+        let rows = self.rows as f64;
+        let cols = self.cols as f64;
         // Every kernel evaluation below passes the same displacements
         // the coordinate-based forms produce — a mesh neighbour in
         // direction `d` is exactly an `offf[d]` shift — so no
         // per-direction position lookups are needed.
-        let offf: [(CoordF, CoordF); 4] = [(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)];
+        let offf: [(f64, f64); 4] = [(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)];
         let (tx, ty) = to;
         let (fx, fy) = from;
         let mut tvalid = [false; 4];
@@ -1906,6 +1811,12 @@ mod tests {
     use snnmap_metrics::energy;
     use snnmap_model::generators::random_pcn;
     use snnmap_model::PcnBuilder;
+    use snnmap_trace::NoopSink;
+
+    /// FD with no hardware restriction, run options or tracing.
+    fn fd(pcn: &Pcn, p: &mut Placement, cfg: &FdConfig) -> Result<FdStats, CoreError> {
+        force_directed(pcn, p, cfg, None, None, &mut FdRunOpts::default(), &mut NoopSink)
+    }
 
     fn small_pcn() -> Pcn {
         random_pcn(64, 4.0, 42).unwrap()
@@ -1990,8 +1901,8 @@ mod tests {
         // with empty cells in play.
         let pcn = random_pcn(48, 4.0, 7).unwrap();
         let mesh = Mesh::new(8, 8).unwrap(); // 64 cores, 16 left empty
-        let mut p = random_placement(&pcn, mesh, 23).unwrap();
-        let stats = force_directed(&pcn, &mut p, &FdConfig::default()).unwrap();
+        let mut p = random_placement(&pcn, mesh, 23, None).unwrap();
+        let stats = fd(&pcn, &mut p, &FdConfig::default()).unwrap();
         assert!(stats.converged);
         let mut scratch = p.clone();
         let engine =
@@ -2028,9 +1939,9 @@ mod tests {
             Potential::L2Squared,
             Potential::energy_model(CostModel::paper_target()),
         ] {
-            let mut p = random_placement(&pcn, mesh, 1).unwrap();
+            let mut p = random_placement(&pcn, mesh, 1, None).unwrap();
             let cfg = FdConfig { potential, ..FdConfig::default() };
-            let stats = force_directed(&pcn, &mut p, &cfg).unwrap();
+            let stats = fd(&pcn, &mut p, &cfg).unwrap();
             assert!(stats.converged);
             assert!(
                 stats.final_energy <= stats.initial_energy + 1e-9,
@@ -2048,9 +1959,9 @@ mod tests {
         // from-scratch energy computation at the end.
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
-        let mut p = random_placement(&pcn, mesh, 3).unwrap();
+        let mut p = random_placement(&pcn, mesh, 3, None).unwrap();
         let cfg = FdConfig::default();
-        let stats = force_directed(&pcn, &mut p, &cfg).unwrap();
+        let stats = fd(&pcn, &mut p, &cfg).unwrap();
         let mut scratch = p.clone();
         let engine =
             Engine::new(
@@ -2074,9 +1985,9 @@ mod tests {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
         let cost = CostModel::paper_target();
-        let mut p = random_placement(&pcn, mesh, 5).unwrap();
+        let mut p = random_placement(&pcn, mesh, 5, None).unwrap();
         let cfg = FdConfig { potential: Potential::energy_model(cost), ..FdConfig::default() };
-        let stats = force_directed(&pcn, &mut p, &cfg).unwrap();
+        let stats = fd(&pcn, &mut p, &cfg).unwrap();
         let mec = energy(&pcn, &p, cost).unwrap();
         assert!(
             (stats.final_energy - mec).abs() < 1e-6 * mec.max(1.0),
@@ -2091,14 +2002,10 @@ mod tests {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
         let cost = CostModel::paper_target();
-        let mut p = random_placement(&pcn, mesh, 7).unwrap();
+        let mut p = random_placement(&pcn, mesh, 7, None).unwrap();
         let before = energy(&pcn, &p, cost).unwrap();
-        force_directed(
-            &pcn,
-            &mut p,
-            &FdConfig { potential: Potential::energy_model(cost), ..FdConfig::default() },
-        )
-        .unwrap();
+        let cfg = FdConfig { potential: Potential::energy_model(cost), ..FdConfig::default() };
+        fd(&pcn, &mut p, &cfg).unwrap();
         let after = energy(&pcn, &p, cost).unwrap();
         assert!(after < before, "FD should improve a random placement: {after} vs {before}");
     }
@@ -2110,9 +2017,9 @@ mod tests {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
         let cost = CostModel::paper_target();
-        let mut p = hsc_placement(&pcn, mesh).unwrap();
+        let mut p = hsc_placement(&pcn, mesh, None, 1).unwrap();
         let before = energy(&pcn, &p, cost).unwrap();
-        force_directed(&pcn, &mut p, &FdConfig::default()).unwrap();
+        fd(&pcn, &mut p, &FdConfig::default()).unwrap();
         let after = energy(&pcn, &p, cost).unwrap();
         assert!(after <= before);
     }
@@ -2131,7 +2038,7 @@ mod tests {
         let mut p = Placement::new_unplaced(mesh, 2);
         p.place(0, Coord::new(0, 0)).unwrap();
         p.place(1, Coord::new(4, 4)).unwrap();
-        let stats = force_directed(&pcn, &mut p, &FdConfig::default()).unwrap();
+        let stats = fd(&pcn, &mut p, &FdConfig::default()).unwrap();
         assert!(stats.converged);
         assert_eq!(p.distance(0, 1).unwrap(), 1, "clusters should end adjacent");
     }
@@ -2141,7 +2048,7 @@ mod tests {
         let pcn = small_pcn();
         let mut p = Placement::new_unplaced(Mesh::new(8, 8).unwrap(), 64);
         assert!(matches!(
-            force_directed(&pcn, &mut p, &FdConfig::default()),
+            fd(&pcn, &mut p, &FdConfig::default()),
             Err(CoreError::IncompletePlacement { placed: 0, total: 64 })
         ));
     }
@@ -2150,13 +2057,9 @@ mod tests {
     fn iteration_cap_stops_early() {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
-        let mut p = random_placement(&pcn, mesh, 11).unwrap();
-        let stats = force_directed(
-            &pcn,
-            &mut p,
-            &FdConfig { max_iterations: Some(1), ..FdConfig::default() },
-        )
-        .unwrap();
+        let mut p = random_placement(&pcn, mesh, 11, None).unwrap();
+        let cfg = FdConfig { max_iterations: Some(1), ..FdConfig::default() };
+        let stats = fd(&pcn, &mut p, &cfg).unwrap();
         assert_eq!(stats.iterations, 1);
     }
 
@@ -2164,8 +2067,8 @@ mod tests {
     fn converged_state_has_no_positive_tension() {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
-        let mut p = random_placement(&pcn, mesh, 13).unwrap();
-        force_directed(&pcn, &mut p, &FdConfig::default()).unwrap();
+        let mut p = random_placement(&pcn, mesh, 13, None).unwrap();
+        fd(&pcn, &mut p, &FdConfig::default()).unwrap();
         let mut scratch = p.clone();
         let engine =
             Engine::new(
@@ -2195,10 +2098,10 @@ mod tests {
     fn deterministic_given_same_input() {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
-        let mut a = random_placement(&pcn, mesh, 17).unwrap();
+        let mut a = random_placement(&pcn, mesh, 17, None).unwrap();
         let mut b = a.clone();
-        let sa = force_directed(&pcn, &mut a, &FdConfig::default()).unwrap();
-        let sb = force_directed(&pcn, &mut b, &FdConfig::default()).unwrap();
+        let sa = fd(&pcn, &mut a, &FdConfig::default()).unwrap();
+        let sb = fd(&pcn, &mut b, &FdConfig::default()).unwrap();
         assert_eq!(sa, sb);
         assert_eq!(a, b);
     }
@@ -2211,13 +2114,13 @@ mod tests {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
         let cost = CostModel::paper_target();
-        let mut p = random_placement(&pcn, mesh, 21).unwrap();
+        let mut p = random_placement(&pcn, mesh, 21, None).unwrap();
         let cfg = FdConfig {
             potential: Potential::energy_model(cost),
             tension_mode: TensionMode::PaperNaive,
             ..FdConfig::default()
         };
-        let stats = force_directed(&pcn, &mut p, &cfg).unwrap();
+        let stats = fd(&pcn, &mut p, &cfg).unwrap();
         let mec = energy(&pcn, &p, cost).unwrap();
         assert!((stats.final_energy - mec).abs() < 1e-6 * mec.max(1.0));
         // Naive tension still improves a random start in practice.
@@ -2231,13 +2134,13 @@ mod tests {
         let mesh = Mesh::new(8, 8).unwrap();
         let cost = CostModel::paper_target();
         let run = |mode| {
-            let mut p = random_placement(&pcn, mesh, 23).unwrap();
+            let mut p = random_placement(&pcn, mesh, 23, None).unwrap();
             let cfg = FdConfig {
                 potential: Potential::energy_model(cost),
                 tension_mode: mode,
                 ..FdConfig::default()
             };
-            force_directed(&pcn, &mut p, &cfg).unwrap();
+            fd(&pcn, &mut p, &cfg).unwrap();
             energy(&pcn, &p, cost).unwrap()
         };
         let exact = run(TensionMode::Exact);
@@ -2253,9 +2156,11 @@ mod tests {
         for i in 0..6u16 {
             fm.kill_core(Coord::new(i, (i * 3) % 8)).unwrap();
         }
-        let mut p = crate::random_placement_masked(&pcn, mesh, 31, &fm).unwrap();
+        let mut p = crate::random_placement(&pcn, mesh, 31, Some(&fm)).unwrap();
+        let mut opts = FdRunOpts::default();
+        let cfg = FdConfig::default();
         let stats =
-            force_directed_masked(&pcn, &mut p, &FdConfig::default(), &fm).unwrap();
+            force_directed(&pcn, &mut p, &cfg, Some(&fm), None, &mut opts, &mut NoopSink).unwrap();
         assert!(stats.converged);
         assert!(stats.final_energy <= stats.initial_energy + 1e-9);
         p.check_consistency().unwrap();
@@ -2268,13 +2173,15 @@ mod tests {
     fn masked_fd_rejects_placement_on_dead_core() {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
-        let mut p = random_placement(&pcn, mesh, 2).unwrap();
+        let mut p = random_placement(&pcn, mesh, 2, None).unwrap();
         let mut fm = FaultMap::new(mesh);
         // Kill the core cluster 0 sits on: the input is already invalid.
         let c0 = p.coord_of(0).unwrap();
         fm.kill_core(c0).unwrap();
+        let mut opts = FdRunOpts::default();
+        let cfg = FdConfig::default();
         assert!(matches!(
-            force_directed_masked(&pcn, &mut p, &FdConfig::default(), &fm),
+            force_directed(&pcn, &mut p, &cfg, Some(&fm), None, &mut opts, &mut NoopSink),
             Err(CoreError::Hw(HwError::FaultyCore { coord })) if coord == c0
         ));
     }
@@ -2283,10 +2190,10 @@ mod tests {
     fn bad_lambda_is_a_typed_error() {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
-        let mut p = random_placement(&pcn, mesh, 2).unwrap();
+        let mut p = random_placement(&pcn, mesh, 2, None).unwrap();
         for lambda in [0.0, -0.5, 1.5, f64::NAN] {
             assert!(matches!(
-                force_directed(&pcn, &mut p, &FdConfig { lambda, ..FdConfig::default() }),
+                fd(&pcn, &mut p, &FdConfig { lambda, ..FdConfig::default() }),
                 Err(CoreError::InvalidLambda { .. })
             ));
         }
@@ -2297,13 +2204,8 @@ mod tests {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
         for lambda in [0.05, 1.0] {
-            let mut p = random_placement(&pcn, mesh, 19).unwrap();
-            let stats = force_directed(
-                &pcn,
-                &mut p,
-                &FdConfig { lambda, ..FdConfig::default() },
-            )
-            .unwrap();
+            let mut p = random_placement(&pcn, mesh, 19, None).unwrap();
+            let stats = fd(&pcn, &mut p, &FdConfig { lambda, ..FdConfig::default() }).unwrap();
             assert!(stats.converged, "lambda={lambda}");
         }
     }
@@ -2314,11 +2216,11 @@ mod tests {
         // the fast in-module smoke check of the same guarantee.
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
-        let base = random_placement(&pcn, mesh, 29).unwrap();
+        let base = random_placement(&pcn, mesh, 29, None).unwrap();
         let run = |threads: usize| {
             let mut p = base.clone();
             let cfg = FdConfig { threads, ..FdConfig::default() };
-            let stats = force_directed(&pcn, &mut p, &cfg).unwrap();
+            let stats = fd(&pcn, &mut p, &cfg).unwrap();
             (p, stats)
         };
         let (p1, s1) = run(1);
@@ -2340,7 +2242,7 @@ mod tests {
         let _guard = par::hooks::exclusive();
         let pcn = random_pcn(3500, 3.0, 11).unwrap();
         let mesh = Mesh::new(64, 64).unwrap();
-        let base = crate::hsc_placement_threaded(&pcn, mesh, 2).unwrap();
+        let base = crate::hsc_placement(&pcn, mesh, None, 2).unwrap();
         let cfg = FdConfig { threads: 2, ..FdConfig::default() };
 
         let mut p = base.clone();
@@ -2352,7 +2254,7 @@ mod tests {
         let mut opts =
             FdRunOpts { on_checkpoint: Some(&mut writer), ..FdRunOpts::default() };
         par::hooks::fail_after(0);
-        let err = force_directed_budgeted(&pcn, &mut p, &cfg, None, &mut opts, &mut NoopSink)
+        let err = force_directed(&pcn, &mut p, &cfg, None, None, &mut opts, &mut NoopSink)
             .unwrap_err();
         par::hooks::disarm();
         drop(opts);
@@ -2381,11 +2283,11 @@ mod tests {
             resume: Some(FdResume::from_checkpoint(&cp)),
             ..FdRunOpts::default()
         };
-        let rs = force_directed_budgeted(&pcn, &mut resumed, &cfg, None, &mut ropts, &mut NoopSink)
+        let rs = force_directed(&pcn, &mut resumed, &cfg, None, None, &mut ropts, &mut NoopSink)
             .unwrap();
         let mut plain = base.clone();
         let mut popts = FdRunOpts { budget, ..FdRunOpts::default() };
-        let ps = force_directed_budgeted(&pcn, &mut plain, &cfg, None, &mut popts, &mut NoopSink)
+        let ps = force_directed(&pcn, &mut plain, &cfg, None, None, &mut popts, &mut NoopSink)
             .unwrap();
         assert_eq!(resumed, plain);
         assert_eq!(rs.swaps, ps.swaps);

@@ -3,10 +3,8 @@
 mod engine;
 pub(crate) mod potential;
 
-pub(crate) use engine::force_directed_impl;
 pub use engine::{
-    force_directed, force_directed_budgeted, force_directed_masked,
-    force_directed_masked_traced, force_directed_traced, CheckpointWriter, FdCheckpoint,
-    FdConfig, FdResume, FdRunOpts, FdStats, RunBudget, StopReason, TensionMode,
+    force_directed, CheckpointWriter, FdCheckpoint, FdConfig, FdResume, FdRunOpts, FdStats,
+    RunBudget, StopReason, TensionMode,
 };
-pub use potential::{CoordF, Potential};
+pub use potential::Potential;

@@ -4,43 +4,22 @@
 //! The FD engine's hot loops (initial force build, system-energy
 //! reduction, force patching) evaluate the potential once per graph edge.
 //! Two layers keep that evaluation SIMD-friendly without changing a
-//! single result bit in the default build:
+//! single result bit:
 //!
-//! * **Branch-free float arithmetic** — [`Potential::value_f`] computes
-//!   `|dx| + |dy|` and `dx² + dy²` on [`CoordF`] scalars with `abs`,
-//!   multiply and add only (float `abs` is a sign-bit mask, not a
-//!   compare). Coordinates are small exact integers, so in the default
-//!   `f64` build every operation below is exact and bit-identical to the
-//!   integer arithmetic it replaced.
+//! * **Branch-free float arithmetic** — [`Potential::value`] computes
+//!   `|dx| + |dy|` and `dx² + dy²` on `f64` scalars with `abs`, multiply
+//!   and add only (float `abs` is a sign-bit mask, not a compare).
+//!   Coordinates are mesh indices (`< 2¹⁶`), so every operation below is
+//!   exact and bit-identical to the integer arithmetic it replaced — the
+//!   provenance digests hold.
 //! * **Kernel monomorphization** — the [`with_kernel!`] macro dispatches
 //!   the `Potential` enum **once per loop** (per energy block, per
 //!   cluster rebuild, per swap patch) to a zero-sized kernel type whose
-//!   `u` inlines with no per-edge match. Each kernel keeps the exact
-//!   per-variant expression tree of [`Potential::value_f`], so the f64
-//!   results (and therefore the provenance digests) are unchanged.
+//!   `u` inlines with no per-edge match. [`Potential::value`] evaluates
+//!   the same kernels, so the hot loops and the scalar API agree bit for
+//!   bit (and the provenance digests are unchanged).
 
 use snnmap_hw::CostModel;
-
-/// Scalar type of the FD distance kernel's coordinate arithmetic.
-///
-/// `f64` by default: coordinates are mesh indices (`< 2¹⁶`), so every
-/// subtraction, absolute value and L1 sum is exact and the float kernel
-/// is bit-identical to integer arithmetic — existing sha256/FNV
-/// provenance digests hold.
-///
-/// The `f32-coords` feature narrows it to `f32` (half the kernel's
-/// memory traffic, twice the SIMD lanes). Displacements and L1 sums stay
-/// exact (they fit a 24-bit mantissa), but **squared** terms round —
-/// `dx²` can exceed 2²⁴ — so `L1Squared`/`L2Squared` placements under
-/// the feature legitimately diverge from f64 digests. The f32 path is
-/// still deterministic and thread-count independent: only the scalar
-/// type changes, never an accumulation order. See DESIGN.md §1c for the
-/// digest-compatibility contract.
-#[cfg(not(feature = "f32-coords"))]
-pub type CoordF = f64;
-/// See the `f32-coords` note on the default (`f64`) definition.
-#[cfg(feature = "f32-coords")]
-pub type CoordF = f32;
 
 /// The shape of the potential field a cluster generates (Figure 7).
 ///
@@ -95,28 +74,12 @@ impl Potential {
     /// Potential at integer displacement `(dx, dy)`.
     ///
     /// Symmetric in sign (`u(p) = u(−p)`) for every variant, which the
-    /// tension bookkeeping of the FD engine relies on. Delegates to the
-    /// float kernel ([`Potential::value_f`]); the conversion is exact
+    /// tension bookkeeping of the FD engine relies on. Evaluates the same
+    /// float kernels as the FD hot loops; the conversion to `f64` is exact
     /// for any mesh-sized displacement.
     #[inline]
     pub fn value(&self, dx: i32, dy: i32) -> f64 {
-        self.value_f(dx as CoordF, dy as CoordF)
-    }
-
-    /// Potential at float displacement `(dx, dy)` — the branch-free
-    /// distance kernel of the FD hot loops.
-    ///
-    /// In the default `f64` build this is bit-identical to the integer
-    /// form for every exactly-representable displacement; under
-    /// `f32-coords` the squared variants round (see [`CoordF`]).
-    #[inline]
-    pub fn value_f(&self, dx: CoordF, dy: CoordF) -> f64 {
-        match *self {
-            Potential::L1 => KL1.u(dx, dy),
-            Potential::L1Squared => KL1Sq.u(dx, dy),
-            Potential::L2Squared => KL2Sq.u(dx, dy),
-            Potential::EnergyModel { en_r, en_w } => KEnergy { en_r, en_w }.u(dx, dy),
-        }
+        with_kernel!(*self, k => k.u(f64::from(dx), f64::from(dy)))
     }
 
     /// `u(unit) − u(0)`: the constant the tension formula needs to
@@ -140,9 +103,9 @@ impl Default for Potential {
 /// generic over `K: PotKernel` compiles to straight-line float code with
 /// no per-edge enum match. Dispatch with [`with_kernel!`].
 pub(crate) trait PotKernel: Copy + Send + Sync {
-    /// Potential at float displacement `(dx, dy)`. Must keep the exact
-    /// expression tree of the matching [`Potential::value_f`] arm.
-    fn u(self, dx: CoordF, dy: CoordF) -> f64;
+    /// Potential at float displacement `(dx, dy)`; exact for integer
+    /// displacements (see [`Potential::value`]).
+    fn u(self, dx: f64, dy: f64) -> f64;
 }
 
 /// [`Potential::L1`] kernel.
@@ -161,47 +124,32 @@ pub(crate) struct KEnergy {
     pub en_w: f64,
 }
 
-/// Widens a [`CoordF`] to `f64`: a no-op in the default build, an exact
-/// float conversion under `f32-coords`. Written with `cfg` arms (not
-/// `as f64`) so both scalar builds are cast-lint-clean.
-#[inline(always)]
-fn widen(v: CoordF) -> f64 {
-    #[cfg(feature = "f32-coords")]
-    {
-        f64::from(v)
-    }
-    #[cfg(not(feature = "f32-coords"))]
-    {
-        v
-    }
-}
-
 impl PotKernel for KL1 {
     #[inline(always)]
-    fn u(self, dx: CoordF, dy: CoordF) -> f64 {
-        widen(dx.abs() + dy.abs())
+    fn u(self, dx: f64, dy: f64) -> f64 {
+        dx.abs() + dy.abs()
     }
 }
 
 impl PotKernel for KL1Sq {
     #[inline(always)]
-    fn u(self, dx: CoordF, dy: CoordF) -> f64 {
-        let l1 = widen(dx.abs() + dy.abs());
+    fn u(self, dx: f64, dy: f64) -> f64 {
+        let l1 = dx.abs() + dy.abs();
         l1 * l1
     }
 }
 
 impl PotKernel for KL2Sq {
     #[inline(always)]
-    fn u(self, dx: CoordF, dy: CoordF) -> f64 {
-        widen(dx * dx + dy * dy)
+    fn u(self, dx: f64, dy: f64) -> f64 {
+        dx * dx + dy * dy
     }
 }
 
 impl PotKernel for KEnergy {
     #[inline(always)]
-    fn u(self, dx: CoordF, dy: CoordF) -> f64 {
-        let l1 = widen(dx.abs() + dy.abs());
+    fn u(self, dx: f64, dy: f64) -> f64 {
+        let l1 = dx.abs() + dy.abs();
         (l1 + 1.0) * self.en_r + l1 * self.en_w
     }
 }
@@ -287,12 +235,9 @@ mod tests {
 
     #[test]
     fn float_kernel_matches_integer_form_bitwise() {
-        // The guarantee the digest-compat contract rests on: in the f64
-        // build the float kernel reproduces the integer arithmetic bit
-        // for bit over the whole mesh-displacement range. Under
-        // f32-coords the L1-derived variants must still agree exactly
-        // (sums fit a 24-bit mantissa); squared variants may round and
-        // are checked to a relative tolerance instead.
+        // The guarantee the digest-compat contract rests on: the float
+        // kernel reproduces the integer arithmetic bit for bit over the
+        // whole mesh-displacement range.
         let pots = [
             Potential::L1,
             Potential::L1Squared,
@@ -304,18 +249,12 @@ mod tests {
                 [(0, 0), (1, 0), (-3, 7), (255, -255), (1023, 1), (-65535, 65535)]
             {
                 let exact = reference_value(p, dx, dy);
-                let got = p.value_f(dx as CoordF, dy as CoordF);
-                let l1_exact = matches!(p, Potential::L1 | Potential::EnergyModel { .. });
-                if cfg!(not(feature = "f32-coords")) || l1_exact {
-                    assert_eq!(
-                        got.to_bits(),
-                        exact.to_bits(),
-                        "{p:?} at ({dx},{dy}): {got} vs {exact}"
-                    );
-                } else {
-                    let tol = 1e-6 * exact.abs().max(1.0);
-                    assert!((got - exact).abs() <= tol, "{p:?} at ({dx},{dy})");
-                }
+                let got = p.value(dx, dy);
+                assert_eq!(
+                    got.to_bits(),
+                    exact.to_bits(),
+                    "{p:?} at ({dx},{dy}): {got} vs {exact}"
+                );
             }
         }
     }

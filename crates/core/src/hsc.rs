@@ -37,7 +37,7 @@ pub(crate) fn check_capacity(
 }
 
 /// Builds an unplaced placement, masked when a fault map is supplied.
-fn fresh_placement(
+pub(crate) fn fresh_placement(
     mesh: Mesh,
     n: u32,
     faults: Option<&FaultMap>,
@@ -56,9 +56,16 @@ fn fresh_placement(
 /// the traversal stays empty — matching the paper's non-full systems
 /// (e.g. 251 clusters on a 16×16 mesh).
 ///
+/// With a fault map the traversal is *compacted* over the healthy cores,
+/// so the `i`-th cluster lands on the `i`-th *surviving* core the curve
+/// visits. Dead cores are skipped rather than left as holes in the
+/// sequence, preserving as much curve locality as the fault pattern
+/// allows.
+///
 /// # Errors
 ///
 /// [`CoreError::MeshTooSmall`] if `order` outnumbers the cores;
+/// [`CoreError::InsufficientCores`] if it outnumbers the healthy cores;
 /// [`CoreError::Curve`] if the curve rejects the mesh.
 ///
 /// # Examples
@@ -69,7 +76,7 @@ fn fresh_placement(
 /// use snnmap_hw::{Coord, Mesh};
 ///
 /// let order = vec![2, 0, 1];
-/// let p = sequence_placement(&order, &ZigZag, Mesh::new(2, 2)?)?;
+/// let p = sequence_placement(&order, &ZigZag, Mesh::new(2, 2)?, None)?;
 /// assert_eq!(p.coord_of(2), Some(Coord::new(0, 0)));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -77,40 +84,10 @@ pub fn sequence_placement(
     order: &[u32],
     curve: &dyn SpaceFillingCurve,
     mesh: Mesh,
-) -> Result<Placement, CoreError> {
-    sequence_placement_impl(order, curve, mesh, None)
-}
-
-/// Fault-aware [`sequence_placement`]: the curve traversal is *compacted*
-/// over the healthy cores, so the `i`-th cluster lands on the `i`-th
-/// *surviving* core the curve visits. Dead cores are skipped rather than
-/// left as holes in the sequence, preserving as much curve locality as the
-/// fault pattern allows.
-///
-/// # Errors
-///
-/// [`CoreError::InsufficientCores`] when the survivors cannot hold the
-/// sequence; otherwise as [`sequence_placement`].
-pub fn sequence_placement_masked(
-    order: &[u32],
-    curve: &dyn SpaceFillingCurve,
-    mesh: Mesh,
-    faults: &FaultMap,
-) -> Result<Placement, CoreError> {
-    sequence_placement_impl(order, curve, mesh, Some(faults))
-}
-
-fn sequence_placement_impl(
-    order: &[u32],
-    curve: &dyn SpaceFillingCurve,
-    mesh: Mesh,
     faults: Option<&FaultMap>,
 ) -> Result<Placement, CoreError> {
     check_capacity(order.len() as u32, mesh, faults)?;
-    let traversal = match faults {
-        Some(fm) => masked_traversal(curve, mesh, |c| !fm.is_dead(c))?,
-        None => curve.traversal(mesh)?,
-    };
+    let traversal = curve_traversal(curve, mesh, faults)?;
     place_along(order, &traversal, mesh, faults)
 }
 
@@ -128,27 +105,46 @@ fn place_along(
     Ok(p)
 }
 
-/// Builds the classic Hilbert traversal of a `2^k` square mesh across up
-/// to `threads` workers, using the closed-form [`Hilbert::d2xy`] per
-/// index. Identical to `Hilbert.traversal(mesh)` for every thread count
-/// (each element is a pure function of its index); a fault mask is then
-/// applied in curve order, matching [`masked_traversal`].
-fn hilbert_traversal_par(
+/// `curve`'s traversal of `mesh`, compacted over the healthy cores when a
+/// fault map is supplied.
+fn curve_traversal(
+    curve: &dyn SpaceFillingCurve,
+    mesh: Mesh,
+    faults: Option<&FaultMap>,
+) -> Result<Vec<Coord>, CoreError> {
+    Ok(match faults {
+        Some(fm) => masked_traversal(curve, mesh, |c| !fm.is_dead(c))?,
+        None => curve.traversal(mesh)?,
+    })
+}
+
+/// The HSC traversal of `mesh`: [`Hilbert`] on `2^k` squares, [`Gilbert`]
+/// (Appendix A) otherwise, compacted over the healthy cores under a fault
+/// map. With `threads > 1` a `2^k` square is built in parallel from the
+/// closed-form [`Hilbert::d2xy`] and masked in curve order afterwards,
+/// identical to the serial [`masked_traversal`] for every thread count.
+fn hsc_traversal(
     mesh: Mesh,
     faults: Option<&FaultMap>,
     threads: usize,
-) -> Vec<Coord> {
+) -> Result<Vec<Coord>, CoreError> {
     let side = mesh.rows() as u32;
-    debug_assert!(mesh.rows() == mesh.cols() && side.is_power_of_two());
+    let pow2_square = mesh.rows() == mesh.cols() && side.is_power_of_two();
+    if !pow2_square {
+        return curve_traversal(&Gilbert, mesh, faults);
+    }
+    if threads <= 1 {
+        return curve_traversal(&Hilbert, mesh, faults);
+    }
     let mut traversal = vec![Coord::new(0, 0); mesh.len()];
     par::par_init(threads, &mut traversal, |d| {
         let (x, y) = Hilbert::d2xy(side, d as u64);
         Coord::new(x as u16, y as u16)
     });
-    match faults {
+    Ok(match faults {
         Some(fm) => traversal.into_iter().filter(|&c| !fm.is_dead(c)).collect(),
         None => traversal,
-    }
+    })
 }
 
 /// The paper's initial placement `P_init = Hilbert ∘ Seq` (§4.2.3):
@@ -158,10 +154,19 @@ fn hilbert_traversal_par(
 /// On `2^k` square meshes the classic [`Hilbert`] curve is used; on any
 /// other rectangle the generalized [`Gilbert`] curve (Appendix A) takes
 /// over, exactly as the paper prescribes for arbitrary system sizes.
+/// With a fault map the traversal is compacted over the healthy cores
+/// (see [`sequence_placement`]).
+///
+/// `threads` (`0` = auto, see [`par::resolve_threads`]) builds a `2^k`
+/// square's Hilbert traversal in parallel. The placement is
+/// **bit-identical for every thread count** — parallelism only changes
+/// the wall-clock time of the initial-placement phase on million-core
+/// meshes.
 ///
 /// # Errors
 ///
-/// [`CoreError::MeshTooSmall`] if the PCN outnumbers the cores.
+/// [`CoreError::MeshTooSmall`] if the PCN outnumbers the cores;
+/// [`CoreError::InsufficientCores`] if it outnumbers the healthy cores.
 ///
 /// # Examples
 ///
@@ -171,78 +176,20 @@ fn hilbert_traversal_par(
 /// use snnmap_model::generators::random_pcn;
 ///
 /// let pcn = random_pcn(200, 4.0, 3)?;
-/// let p = hsc_placement(&pcn, Mesh::new(15, 15)?)?; // non-pow2 is fine
+/// let p = hsc_placement(&pcn, Mesh::new(15, 15)?, None, 1)?; // non-pow2 is fine
 /// assert!(p.is_complete());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn hsc_placement(pcn: &Pcn, mesh: Mesh) -> Result<Placement, CoreError> {
-    hsc_placement_impl(pcn, mesh, None, 1)
-}
-
-/// [`hsc_placement`] with the Hilbert traversal built across up to
-/// `threads` workers (`0` = auto, see [`par::resolve_threads`]).
-///
-/// The traversal is an element-wise pure function of the curve index
-/// ([`Hilbert::d2xy`]), so the resulting placement is **bit-identical for
-/// every thread count** — parallelism only changes the wall-clock time of
-/// the initial-placement phase on million-core meshes. Non-`2^k`-square
-/// meshes fall back to the serial generalized [`Gilbert`] construction,
-/// whose recursive structure is inherently sequential.
-///
-/// # Errors
-///
-/// As [`hsc_placement`].
-pub fn hsc_placement_threaded(
-    pcn: &Pcn,
-    mesh: Mesh,
-    threads: usize,
-) -> Result<Placement, CoreError> {
-    hsc_placement_impl(pcn, mesh, None, par::resolve_threads(threads))
-}
-
-/// Fault-aware [`hsc_placement`]: same curve choice, but the traversal is
-/// compacted over healthy cores (see [`sequence_placement_masked`]).
-///
-/// # Errors
-///
-/// [`CoreError::InsufficientCores`] when the PCN outnumbers the healthy
-/// cores; otherwise as [`hsc_placement`].
-pub fn hsc_placement_masked(
-    pcn: &Pcn,
-    mesh: Mesh,
-    faults: &FaultMap,
-) -> Result<Placement, CoreError> {
-    hsc_placement_impl(pcn, mesh, Some(faults), 1)
-}
-
-/// [`hsc_placement_masked`] with a parallel Hilbert traversal; see
-/// [`hsc_placement_threaded`] for the threading semantics (the fault mask
-/// is applied in curve order after the parallel build, so the compaction
-/// matches the serial path exactly).
-///
-/// # Errors
-///
-/// As [`hsc_placement_masked`].
-pub fn hsc_placement_masked_threaded(
-    pcn: &Pcn,
-    mesh: Mesh,
-    faults: &FaultMap,
-    threads: usize,
-) -> Result<Placement, CoreError> {
-    hsc_placement_impl(pcn, mesh, Some(faults), par::resolve_threads(threads))
-}
-
-fn hsc_placement_impl(
+pub fn hsc_placement(
     pcn: &Pcn,
     mesh: Mesh,
     faults: Option<&FaultMap>,
     threads: usize,
 ) -> Result<Placement, CoreError> {
-    let order = toposort(pcn);
-    hsc_sequence_impl(&order, mesh, faults, threads)
+    hsc_sequence_impl(&toposort(pcn), mesh, faults, par::resolve_threads(threads))
 }
 
-/// The curve-layout half of [`hsc_placement_impl`], taking an
+/// The curve-layout half of [`hsc_placement`], taking an
 /// already-toposorted order — lets traced callers time the topo sort and
 /// the HSC layout as separate phases.
 pub(crate) fn hsc_sequence_impl(
@@ -251,16 +198,8 @@ pub(crate) fn hsc_sequence_impl(
     faults: Option<&FaultMap>,
     threads: usize,
 ) -> Result<Placement, CoreError> {
-    let pow2_square =
-        mesh.rows() == mesh.cols() && (mesh.rows() as u32).is_power_of_two();
-    if !pow2_square {
-        return sequence_placement_impl(order, &Gilbert, mesh, faults);
-    }
-    if threads <= 1 {
-        return sequence_placement_impl(order, &Hilbert, mesh, faults);
-    }
     check_capacity(order.len() as u32, mesh, faults)?;
-    let traversal = hilbert_traversal_par(mesh, faults, threads);
+    let traversal = hsc_traversal(mesh, faults, threads)?;
     place_along(order, &traversal, mesh, faults)
 }
 
@@ -274,14 +213,14 @@ pub(crate) fn hsc_sequence_impl(
 /// partitioned under the same constraints — nothing is ever skipped and
 /// the result is byte-identical to [`hsc_placement`].
 ///
-/// The traversal build is threaded exactly like
-/// [`hsc_placement_threaded`] (bit-identical for every thread count);
-/// the greedy fit itself is a cheap serial pass.
+/// The traversal build is threaded exactly like [`hsc_placement`]
+/// (bit-identical for every thread count); the greedy fit itself is a
+/// cheap serial pass.
 ///
 /// # Errors
 ///
 /// [`CoreError::InsufficientCapacity`] when some cluster fits on no
-/// remaining healthy core; otherwise as [`hsc_placement_masked`].
+/// remaining healthy core; otherwise as [`hsc_placement`].
 ///
 /// # Examples
 ///
@@ -318,18 +257,7 @@ pub(crate) fn hsc_board_sequence_impl(
 ) -> Result<Placement, CoreError> {
     let mesh = board.mesh();
     check_capacity(order.len() as u32, mesh, faults)?;
-    let pow2_square =
-        mesh.rows() == mesh.cols() && (mesh.rows() as u32).is_power_of_two();
-    let traversal: Vec<Coord> = if pow2_square && threads > 1 {
-        hilbert_traversal_par(mesh, faults, threads)
-    } else {
-        let curve: &dyn SpaceFillingCurve =
-            if pow2_square { &Hilbert } else { &Gilbert };
-        match faults {
-            Some(fm) => masked_traversal(curve, mesh, |c| !fm.is_dead(c))?,
-            None => curve.traversal(mesh)?,
-        }
-    };
+    let traversal = hsc_traversal(mesh, faults, threads)?;
     let mut p = fresh_placement(mesh, order.len() as u32, faults)?;
     let mut used = vec![false; traversal.len()];
     let mut cursor = 0usize;
@@ -351,32 +279,14 @@ pub(crate) fn hsc_board_sequence_impl(
 }
 
 /// The baseline: clusters shuffled uniformly over the cores (§5.1.3,
-/// "randomly mapping"). Deterministic per seed.
+/// "randomly mapping"), or over the *healthy* cores only under a fault
+/// map. Deterministic per seed.
 ///
 /// # Errors
 ///
-/// [`CoreError::MeshTooSmall`] if the PCN outnumbers the cores.
-pub fn random_placement(pcn: &Pcn, mesh: Mesh, seed: u64) -> Result<Placement, CoreError> {
-    random_placement_impl(pcn, mesh, seed, None)
-}
-
-/// Fault-aware [`random_placement`]: clusters shuffled uniformly over the
-/// *healthy* cores only. Deterministic per seed.
-///
-/// # Errors
-///
-/// [`CoreError::InsufficientCores`] when the PCN outnumbers the healthy
-/// cores; otherwise as [`random_placement`].
-pub fn random_placement_masked(
-    pcn: &Pcn,
-    mesh: Mesh,
-    seed: u64,
-    faults: &FaultMap,
-) -> Result<Placement, CoreError> {
-    random_placement_impl(pcn, mesh, seed, Some(faults))
-}
-
-fn random_placement_impl(
+/// [`CoreError::MeshTooSmall`] if the PCN outnumbers the cores;
+/// [`CoreError::InsufficientCores`] if it outnumbers the healthy cores.
+pub fn random_placement(
     pcn: &Pcn,
     mesh: Mesh,
     seed: u64,
@@ -390,11 +300,7 @@ fn random_placement_impl(
         None => mesh.iter().collect(),
     };
     cores.shuffle(&mut rng);
-    let mut p = fresh_placement(mesh, n, faults)?;
-    for c in 0..n {
-        p.place(c, cores[c as usize])?;
-    }
-    Ok(p)
+    place_along(&(0..n).collect::<Vec<_>>(), &cores, mesh, faults)
 }
 
 #[cfg(test)]
@@ -421,7 +327,7 @@ mod tests {
         // A chain in topological order follows the curve, so every
         // connection spans exactly one hop — the ideal placement.
         let pcn = chain_pcn(16);
-        let p = hsc_placement(&pcn, Mesh::new(4, 4).unwrap()).unwrap();
+        let p = hsc_placement(&pcn, Mesh::new(4, 4).unwrap(), None, 1).unwrap();
         for (f, t, _) in pcn.iter_edges() {
             assert_eq!(p.distance(f, t).unwrap(), 1);
         }
@@ -430,7 +336,7 @@ mod tests {
     #[test]
     fn partial_mesh_leaves_tail_empty() {
         let pcn = chain_pcn(5);
-        let p = hsc_placement(&pcn, Mesh::new(3, 3).unwrap()).unwrap();
+        let p = hsc_placement(&pcn, Mesh::new(3, 3).unwrap(), None, 1).unwrap();
         assert!(p.is_complete());
         assert_eq!(p.placed_count(), 5);
         p.check_consistency().unwrap();
@@ -439,7 +345,7 @@ mod tests {
     #[test]
     fn non_pow2_meshes_use_gilbert() {
         let pcn = chain_pcn(35);
-        let p = hsc_placement(&pcn, Mesh::new(5, 7).unwrap()).unwrap();
+        let p = hsc_placement(&pcn, Mesh::new(5, 7).unwrap(), None, 1).unwrap();
         assert!(p.is_complete());
         for (f, t, _) in pcn.iter_edges() {
             assert_eq!(p.distance(f, t).unwrap(), 1);
@@ -450,11 +356,11 @@ mod tests {
     fn too_small_mesh_errors() {
         let pcn = chain_pcn(10);
         assert!(matches!(
-            hsc_placement(&pcn, Mesh::new(3, 3).unwrap()),
+            hsc_placement(&pcn, Mesh::new(3, 3).unwrap(), None, 1),
             Err(CoreError::MeshTooSmall { clusters: 10, cores: 9 })
         ));
         assert!(matches!(
-            random_placement(&pcn, Mesh::new(3, 3).unwrap(), 0),
+            random_placement(&pcn, Mesh::new(3, 3).unwrap(), 0, None),
             Err(CoreError::MeshTooSmall { .. })
         ));
     }
@@ -463,9 +369,9 @@ mod tests {
     fn random_placement_is_seeded_and_valid() {
         let pcn = random_pcn(50, 4.0, 1).unwrap();
         let mesh = Mesh::new(8, 8).unwrap();
-        let a = random_placement(&pcn, mesh, 7).unwrap();
-        let b = random_placement(&pcn, mesh, 7).unwrap();
-        let c = random_placement(&pcn, mesh, 8).unwrap();
+        let a = random_placement(&pcn, mesh, 7, None).unwrap();
+        let b = random_placement(&pcn, mesh, 7, None).unwrap();
+        let c = random_placement(&pcn, mesh, 8, None).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
         a.check_consistency().unwrap();
@@ -477,8 +383,8 @@ mod tests {
         let pcn = random_pcn(256, 4.0, 5).unwrap();
         let mesh = Mesh::new(16, 16).unwrap();
         let cm = CostModel::paper_target();
-        let hsc = energy(&pcn, &hsc_placement(&pcn, mesh).unwrap(), cm).unwrap();
-        let rnd = energy(&pcn, &random_placement(&pcn, mesh, 3).unwrap(), cm).unwrap();
+        let hsc = energy(&pcn, &hsc_placement(&pcn, mesh, None, 1).unwrap(), cm).unwrap();
+        let rnd = energy(&pcn, &random_placement(&pcn, mesh, 3, None).unwrap(), cm).unwrap();
         assert!(hsc < rnd, "hsc {hsc} should beat random {rnd}");
     }
 
@@ -489,7 +395,7 @@ mod tests {
         let mut fm = FaultMap::new(mesh);
         fm.kill_core(snnmap_hw::Coord::new(0, 0)).unwrap();
         fm.kill_core(snnmap_hw::Coord::new(2, 2)).unwrap();
-        let p = hsc_placement_masked(&pcn, mesh, &fm).unwrap();
+        let p = hsc_placement(&pcn, mesh, Some(&fm), 1).unwrap();
         assert!(p.is_complete());
         p.check_consistency().unwrap();
         for c in 0..14u32 {
@@ -504,11 +410,11 @@ mod tests {
         let mut fm = FaultMap::new(mesh);
         fm.kill_core(snnmap_hw::Coord::new(1, 1)).unwrap();
         assert!(matches!(
-            hsc_placement_masked(&pcn, mesh, &fm),
+            hsc_placement(&pcn, mesh, Some(&fm), 1),
             Err(CoreError::InsufficientCores { clusters: 9, healthy: 8, total: 9 })
         ));
         assert!(matches!(
-            random_placement_masked(&pcn, mesh, 0, &fm),
+            random_placement(&pcn, mesh, 0, Some(&fm)),
             Err(CoreError::InsufficientCores { .. })
         ));
     }
@@ -521,8 +427,8 @@ mod tests {
         for x in 0..4u16 {
             fm.kill_core(snnmap_hw::Coord::new(x, x)).unwrap();
         }
-        let a = random_placement_masked(&pcn, mesh, 11, &fm).unwrap();
-        let b = random_placement_masked(&pcn, mesh, 11, &fm).unwrap();
+        let a = random_placement(&pcn, mesh, 11, Some(&fm)).unwrap();
+        let b = random_placement(&pcn, mesh, 11, Some(&fm)).unwrap();
         assert_eq!(a, b);
         a.check_consistency().unwrap();
         for c in 0..40u32 {
@@ -535,52 +441,16 @@ mod tests {
         let pcn = chain_pcn(4);
         let fm = FaultMap::new(Mesh::new(2, 2).unwrap());
         assert!(matches!(
-            hsc_placement_masked(&pcn, Mesh::new(3, 3).unwrap(), &fm),
+            hsc_placement(&pcn, Mesh::new(3, 3).unwrap(), Some(&fm), 1),
             Err(CoreError::Hw(snnmap_hw::HwError::InvalidFaultSpec { .. }))
         ));
-    }
-
-    #[test]
-    fn threaded_hsc_is_identical_for_every_thread_count() {
-        // 64x64 = 4096 cores clears the par_init granularity throttle, so
-        // threads = 2.. genuinely split the traversal across workers.
-        let pcn = random_pcn(4000, 4.0, 9).unwrap();
-        let mesh = Mesh::new(64, 64).unwrap();
-        let serial = hsc_placement(&pcn, mesh).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let par = hsc_placement_threaded(&pcn, mesh, threads).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn threaded_masked_hsc_matches_serial_compaction() {
-        let pcn = random_pcn(4000, 4.0, 9).unwrap();
-        let mesh = Mesh::new(64, 64).unwrap();
-        let mut fm = FaultMap::new(mesh);
-        for i in 0..60u16 {
-            fm.kill_core(Coord::new(i, (i * 7) % 64)).unwrap();
-        }
-        let serial = hsc_placement_masked(&pcn, mesh, &fm).unwrap();
-        for threads in [2, 4, 8] {
-            let par = hsc_placement_masked_threaded(&pcn, mesh, &fm, threads).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn threaded_hsc_falls_back_to_gilbert_on_non_pow2() {
-        let pcn = random_pcn(3000, 4.0, 2).unwrap();
-        let mesh = Mesh::new(60, 60).unwrap();
-        let serial = hsc_placement(&pcn, mesh).unwrap();
-        assert_eq!(hsc_placement_threaded(&pcn, mesh, 4).unwrap(), serial);
     }
 
     #[test]
     fn sequence_placement_respects_order() {
         let order = vec![3, 1, 4, 0, 2];
         let mesh = Mesh::new(3, 3).unwrap();
-        let p = sequence_placement(&order, &Hilbert, Mesh::new(4, 4).unwrap()).unwrap();
+        let p = sequence_placement(&order, &Hilbert, Mesh::new(4, 4).unwrap(), None).unwrap();
         assert_eq!(p.coord_of(3), Some(snnmap_hw::Coord::new(0, 0)));
         let _ = mesh;
     }

@@ -19,10 +19,13 @@
 //!
 //! The [`Mapper`] type packages both steps behind a builder API.
 //!
-//! **Fault-aware mapping**: every phase has a `_masked` variant taking a
-//! [`snnmap_hw::FaultMap`] (or configure [`MapperBuilder::fault_map`]) so
-//! placement and refinement avoid dead cores; [`validate`] and [`repair`]
-//! check and patch an existing placement after the hardware degrades.
+//! **Hardware-aware mapping**: each phase has one entry point whose
+//! hardware arguments are optional. Pass a [`snnmap_hw::FaultMap`] (or
+//! configure [`MapperBuilder::fault_map`]) so placement and refinement
+//! avoid dead cores, or a [`snnmap_hw::Board`] ([`hsc_placement_board`],
+//! [`force_directed`], [`MapperBuilder::board`]) so they respect per-core
+//! capacities. [`validate`] and [`repair`] check and patch an existing
+//! placement after the hardware degrades.
 //!
 //! # Examples
 //!
@@ -57,15 +60,10 @@ mod validate;
 pub use coarsen::{coarsen, CoarseLevel, CoarsenConfig};
 pub use error::CoreError;
 pub use fd::{
-    force_directed, force_directed_budgeted, force_directed_masked,
-    force_directed_masked_traced, force_directed_traced, CheckpointWriter, CoordF, FdCheckpoint,
-    FdConfig, FdResume, FdRunOpts, FdStats, Potential, RunBudget, StopReason, TensionMode,
+    force_directed, CheckpointWriter, FdCheckpoint, FdConfig, FdResume, FdRunOpts, FdStats,
+    Potential, RunBudget, StopReason, TensionMode,
 };
-pub use hsc::{
-    hsc_placement, hsc_placement_board, hsc_placement_masked, hsc_placement_masked_threaded,
-    hsc_placement_threaded, random_placement, random_placement_masked, sequence_placement,
-    sequence_placement_masked,
-};
+pub use hsc::{hsc_placement, hsc_placement_board, random_placement, sequence_placement};
 pub use mapper::{InitialPlacement, MapOutcome, Mapper, MapperBuilder, RepairReport};
 pub use multilevel::MultilevelConfig;
 pub use objective::{

@@ -10,14 +10,12 @@ use snnmap_trace::{
     time_phase, NoopSink, PhaseEvent, RepairEvent, RunEvent, TraceEvent, TraceSink,
 };
 
-use crate::fd::force_directed_impl;
 use crate::hsc::{hsc_board_sequence_impl, hsc_sequence_impl};
 use crate::multilevel::MultilevelConfig;
 use crate::validate::{repair, repair_board, DegradedPlacement, RepairMove};
 use crate::{
-    par, random_placement, random_placement_masked, sequence_placement,
-    sequence_placement_masked, toposort, CoreError, FdCheckpoint, FdConfig, FdResume, FdRunOpts,
-    FdStats, Objective, Potential, RunBudget,
+    force_directed, par, random_placement, sequence_placement, toposort, CoreError, FdCheckpoint,
+    FdConfig, FdResume, FdRunOpts, FdStats, Objective, Potential, RunBudget,
 };
 
 /// How the initial placement is produced (step 1 of Figure 3; the
@@ -52,7 +50,7 @@ pub struct MapOutcome {
     pub fd_elapsed: Duration,
 }
 
-/// The outcome of [`Mapper::repair_incremental`]: what broke, what was
+/// The outcome of [`Mapper::repair_incremental_traced`]: what broke, what was
 /// disturbed, and the statistics of the local refinement pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairReport {
@@ -206,34 +204,19 @@ impl Mapper {
         self.map_budgeted_traced(pcn, mesh, &mut FdRunOpts::default(), sink)
     }
 
-    /// [`Mapper::map`] under caller-supplied [`FdRunOpts`]: deadline,
-    /// sweep-cap and cancellation budgets, periodic checkpointing and
-    /// region masks all apply to the FD phase (see
-    /// [`crate::force_directed_budgeted`]). The initial placement always
-    /// runs to completion — it is cheap and not interruptible — so an
-    /// expired budget still yields a complete, valid placement whose
-    /// energy is no worse than the initial one.
+    /// [`Mapper::map_traced`] under caller-supplied [`FdRunOpts`]:
+    /// deadline, sweep-cap and cancellation budgets, periodic
+    /// checkpointing, region masks and the sim-in-the-loop hook all apply
+    /// to the FD phase (see [`crate::force_directed`]). The initial
+    /// placement always runs to completion — it is cheap and not
+    /// interruptible — so an expired budget still yields a complete, valid
+    /// placement whose energy is no worse than the initial one.
     ///
     /// # Errors
     ///
     /// As [`Mapper::map`], plus [`CoreError::InvalidRunOpts`],
     /// [`CoreError::CheckpointFailed`] and [`CoreError::WorkerPanicked`]
     /// from the budgeted FD engine.
-    pub fn map_budgeted(
-        &self,
-        pcn: &Pcn,
-        mesh: Mesh,
-        opts: &mut FdRunOpts<'_>,
-    ) -> Result<MapOutcome, CoreError> {
-        self.map_budgeted_traced(pcn, mesh, opts, &mut NoopSink)
-    }
-
-    /// [`Mapper::map_budgeted`] with trace instrumentation (see
-    /// [`Mapper::map_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Mapper::map_budgeted`].
     pub fn map_budgeted_traced<S: TraceSink + ?Sized>(
         &self,
         pcn: &Pcn,
@@ -305,8 +288,8 @@ impl Mapper {
         }
 
         let t0 = Instant::now();
-        let mut placement = match (self.init, fm) {
-            (InitialPlacement::Hilbert, _) => {
+        let mut placement = match self.init {
+            InitialPlacement::Hilbert => {
                 let order = time_phase(sink, "toposort", || toposort(pcn));
                 time_phase(sink, "hsc_init", || match &self.board {
                     Some(b) => {
@@ -315,18 +298,11 @@ impl Mapper {
                     None => hsc_sequence_impl(&order, mesh, fm, threads_resolved),
                 })?
             }
-            (InitialPlacement::ZigZag, _) => self.curve_init(pcn, mesh, &ZigZag, sink)?,
-            (InitialPlacement::Circle, _) => self.curve_init(pcn, mesh, &Spiral, sink)?,
-            (InitialPlacement::Serpentine, _) => {
-                self.curve_init(pcn, mesh, &Serpentine, sink)?
-            }
-            (InitialPlacement::Random(seed), None) => {
-                time_phase(sink, "random_init", || random_placement(pcn, mesh, seed))?
-            }
-            (InitialPlacement::Random(seed), Some(fm)) => {
-                time_phase(sink, "random_init", || {
-                    random_placement_masked(pcn, mesh, seed, fm)
-                })?
+            InitialPlacement::ZigZag => self.curve_init(pcn, mesh, &ZigZag, sink)?,
+            InitialPlacement::Circle => self.curve_init(pcn, mesh, &Spiral, sink)?,
+            InitialPlacement::Serpentine => self.curve_init(pcn, mesh, &Serpentine, sink)?,
+            InitialPlacement::Random(seed) => {
+                time_phase(sink, "random_init", || random_placement(pcn, mesh, seed, fm))?
             }
         };
         let init_elapsed = t0.elapsed();
@@ -334,7 +310,7 @@ impl Mapper {
         let t1 = Instant::now();
         let fd_alloc0 = sink.enabled().then(snnmap_trace::alloc_snapshot);
         let fd_stats = match &self.fd {
-            Some(cfg) => Some(force_directed_impl(
+            Some(cfg) => Some(force_directed(
                 pcn,
                 &mut placement,
                 cfg,
@@ -371,6 +347,10 @@ impl Mapper {
     /// sweep cap counts total sweeps including the checkpoint's); any
     /// `opts.resume` already set is overwritten from the checkpoint.
     ///
+    /// Emits a `run` header (`tool: "resume"`), a `resume` event with the
+    /// restored counters, and the FD engine's convergence telemetry into
+    /// `sink`.
+    ///
     /// # Errors
     ///
     /// [`CoreError::InvalidRunOpts`] when the FD phase is disabled on
@@ -378,22 +358,6 @@ impl Mapper {
     /// [`CoreError::Hw`] when the checkpoint's coordinates collide, fall
     /// outside its mesh, or the configured fault map covers a different
     /// mesh.
-    pub fn resume(
-        &self,
-        pcn: &Pcn,
-        checkpoint: &FdCheckpoint,
-        opts: &mut FdRunOpts<'_>,
-    ) -> Result<MapOutcome, CoreError> {
-        self.resume_traced(pcn, checkpoint, opts, &mut NoopSink)
-    }
-
-    /// [`Mapper::resume`] with trace instrumentation: emits a `run`
-    /// header (`tool: "resume"`), a `resume` event with the restored
-    /// counters, and the FD engine's convergence telemetry.
-    ///
-    /// # Errors
-    ///
-    /// As [`Mapper::resume`].
     pub fn resume_traced<S: TraceSink + ?Sized>(
         &self,
         pcn: &Pcn,
@@ -446,7 +410,7 @@ impl Mapper {
         placement.set_coords(&checkpoint.coords)?;
         opts.resume = Some(FdResume::from_checkpoint(checkpoint));
         let t1 = Instant::now();
-        let stats = force_directed_impl(
+        let stats = force_directed(
             pcn,
             &mut placement,
             cfg,
@@ -473,33 +437,15 @@ impl Mapper {
     /// result moves strictly fewer clusters than a full remap, at a small
     /// cost in final energy.
     ///
+    /// `sink` receives the FD engine's telemetry for the region pass plus
+    /// one final `repair` event summarizing the disruption.
+    ///
     /// # Errors
     ///
     /// As [`repair`], plus [`CoreError::Hw`] when the two fault maps
     /// disagree on the mesh. On error the placement is unchanged (the
     /// eviction pass is transactional and the FD pass only writes back on
     /// success).
-    pub fn repair_incremental(
-        &self,
-        pcn: &Pcn,
-        placement: &mut Placement,
-        previous: &FaultMap,
-        current: &FaultMap,
-        radius: u16,
-        budget: RunBudget,
-    ) -> Result<RepairReport, CoreError> {
-        self.repair_incremental_traced(
-            pcn, placement, previous, current, radius, budget, &mut NoopSink,
-        )
-    }
-
-    /// [`Mapper::repair_incremental`] with trace instrumentation: emits
-    /// the FD engine's telemetry for the region pass plus one final
-    /// `repair` event summarizing the disruption.
-    ///
-    /// # Errors
-    ///
-    /// As [`Mapper::repair_incremental`].
     #[allow(clippy::too_many_arguments)]
     pub fn repair_incremental_traced<S: TraceSink + ?Sized>(
         &self,
@@ -554,7 +500,7 @@ impl Mapper {
             Some(cfg) if region_cores > 0 && degraded.is_none() => {
                 let mut opts =
                     FdRunOpts { budget, region: Some(region), ..FdRunOpts::default() };
-                Some(force_directed_impl(
+                Some(force_directed(
                     pcn,
                     placement,
                     cfg,
@@ -589,9 +535,8 @@ impl Mapper {
         sink: &mut S,
     ) -> Result<Placement, CoreError> {
         let order = time_phase(sink, "toposort", || toposort(pcn));
-        time_phase(sink, "curve_init", || match self.faults.as_ref() {
-            Some(fm) => sequence_placement_masked(&order, curve, mesh, fm),
-            None => sequence_placement(&order, curve, mesh),
+        time_phase(sink, "curve_init", || {
+            sequence_placement(&order, curve, mesh, self.faults.as_ref())
         })
     }
 }
@@ -770,6 +715,21 @@ mod tests {
     use snnmap_hw::CostModel;
     use snnmap_metrics::evaluate;
     use snnmap_model::generators::random_pcn;
+
+    /// [`Mapper::map_budgeted_traced`] with tracing off.
+    fn budgeted(
+        m: &Mapper,
+        pcn: &Pcn,
+        mesh: Mesh,
+        opts: &mut FdRunOpts<'_>,
+    ) -> Result<MapOutcome, CoreError> {
+        m.map_budgeted_traced(pcn, mesh, opts, &mut NoopSink)
+    }
+
+    /// [`Mapper::resume_traced`] with default options and tracing off.
+    fn resume(m: &Mapper, pcn: &Pcn, cp: &FdCheckpoint) -> Result<MapOutcome, CoreError> {
+        m.resume_traced(pcn, cp, &mut FdRunOpts::default(), &mut NoopSink)
+    }
 
     #[test]
     fn default_is_paper_method_j() {
@@ -958,7 +918,7 @@ mod tests {
             budget: RunBudget { max_sweeps: Some(0), ..RunBudget::default() },
             ..FdRunOpts::default()
         };
-        let out = Mapper::builder().build().map_budgeted(&pcn, mesh, &mut opts).unwrap();
+        let out = budgeted(&Mapper::default(), &pcn, mesh, &mut opts).unwrap();
         let stats = out.fd_stats.unwrap();
         assert_eq!(stats.stop, StopReason::SweepCapReached);
         assert!(!stats.converged);
@@ -980,7 +940,7 @@ mod tests {
             budget: RunBudget { cancel: Some(flag), ..RunBudget::default() },
             ..FdRunOpts::default()
         };
-        let out = Mapper::builder().build().map_budgeted(&pcn, mesh, &mut opts).unwrap();
+        let out = budgeted(&Mapper::default(), &pcn, mesh, &mut opts).unwrap();
         let stats = out.fd_stats.unwrap();
         assert_eq!(stats.stop, StopReason::Cancelled);
         assert_eq!(stats.iterations, 0);
@@ -1010,7 +970,7 @@ mod tests {
                     budget: RunBudget { max_sweeps: Some(cap), ..RunBudget::default() },
                     ..FdRunOpts::default()
                 };
-                let out = b.build().map_budgeted(&pcn, mesh, &mut opts).unwrap();
+                let out = budgeted(&b.build(), &pcn, mesh, &mut opts).unwrap();
                 let stats = out.fd_stats.unwrap();
                 assert!(
                     stats.final_energy <= stats.initial_energy + 1e-9,
@@ -1049,7 +1009,7 @@ mod tests {
                     on_checkpoint: Some(&mut writer),
                     ..FdRunOpts::default()
                 };
-                let partial = mapper.map_budgeted(&pcn, mesh, &mut opts).unwrap();
+                let partial = budgeted(&mapper, &pcn, mesh, &mut opts).unwrap();
                 drop(opts);
                 let partial_stats = partial.fd_stats.unwrap();
                 assert_eq!(partial_stats.stop, StopReason::SweepCapReached);
@@ -1060,8 +1020,7 @@ mod tests {
                     assert_eq!(partial.placement.coord_of(c as u32), Some(coord));
                 }
 
-                let resumed =
-                    mapper.resume(&pcn, &cp, &mut FdRunOpts::default()).unwrap();
+                let resumed = resume(&mapper, &pcn, &cp).unwrap();
                 let rs = resumed.fd_stats.unwrap();
                 assert_eq!(
                     resumed.placement, full.placement,
@@ -1095,7 +1054,7 @@ mod tests {
             on_checkpoint: Some(&mut writer),
             ..FdRunOpts::default()
         };
-        let out = Mapper::builder().build().map_budgeted(&pcn, mesh, &mut opts).unwrap();
+        let out = budgeted(&Mapper::default(), &pcn, mesh, &mut opts).unwrap();
         drop(opts);
         let iterations = out.fd_stats.unwrap().iterations;
         let expect: Vec<u64> = (1..=iterations).filter(|i| i % 2 == 0).collect();
@@ -1112,12 +1071,12 @@ mod tests {
             on_checkpoint: Some(&mut writer),
             ..FdRunOpts::default()
         };
-        let err = Mapper::builder().build().map_budgeted(&pcn, mesh, &mut opts).unwrap_err();
+        let err = budgeted(&Mapper::default(), &pcn, mesh, &mut opts).unwrap_err();
         assert!(matches!(err, CoreError::CheckpointFailed { ref message } if message == "disk full"));
         // checkpoint_every: Some(0) is rejected up front.
         let mut opts = FdRunOpts { checkpoint_every: Some(0), ..FdRunOpts::default() };
         assert!(matches!(
-            Mapper::builder().build().map_budgeted(&pcn, mesh, &mut opts),
+            budgeted(&Mapper::default(), &pcn, mesh, &mut opts),
             Err(CoreError::InvalidRunOpts { .. })
         ));
     }
@@ -1136,20 +1095,20 @@ mod tests {
             on_checkpoint: Some(&mut writer),
             ..FdRunOpts::default()
         };
-        Mapper::builder().build().map_budgeted(&pcn, mesh, &mut opts).unwrap();
+        budgeted(&Mapper::default(), &pcn, mesh, &mut opts).unwrap();
         drop(opts);
         let cp = cp.unwrap();
 
         // FD disabled: nothing to resume.
         let m = Mapper::builder().fd_enabled(false).build();
         assert!(matches!(
-            m.resume(&pcn, &cp, &mut FdRunOpts::default()),
+            resume(&m, &pcn, &cp),
             Err(CoreError::InvalidRunOpts { .. })
         ));
         // Cluster-count mismatch.
         let other = random_pcn(50, 4.0, 5).unwrap();
         assert!(matches!(
-            Mapper::builder().build().resume(&other, &cp, &mut FdRunOpts::default()),
+            resume(&Mapper::default(), &other, &cp),
             Err(CoreError::InvalidRunOpts { .. })
         ));
         // Fault map on a different mesh.
@@ -1157,14 +1116,14 @@ mod tests {
             .fault_map(FaultMap::new(Mesh::new(30, 30).unwrap()))
             .build();
         assert!(matches!(
-            m.resume(&pcn, &cp, &mut FdRunOpts::default()),
+            resume(&m, &pcn, &cp),
             Err(CoreError::Hw(_))
         ));
         // Corrupted checkpoint: colliding coordinates.
         let mut bad = cp.clone();
         bad.coords[1] = bad.coords[0];
         assert!(matches!(
-            Mapper::builder().build().resume(&pcn, &bad, &mut FdRunOpts::default()),
+            resume(&Mapper::default(), &pcn, &bad),
             Err(CoreError::Hw(_))
         ));
     }
@@ -1189,7 +1148,15 @@ mod tests {
 
         let mut patched = baseline.placement.clone();
         let report = mapper
-            .repair_incremental(&pcn, &mut patched, &previous, &current, 2, RunBudget::default())
+            .repair_incremental_traced(
+                &pcn,
+                &mut patched,
+                &previous,
+                &current,
+                2,
+                RunBudget::default(),
+                &mut NoopSink,
+            )
             .unwrap();
         assert_eq!(report.evicted.len(), 3);
         assert_eq!(report.delta.new_dead_cores.len(), 3);
@@ -1230,8 +1197,10 @@ mod tests {
         let out = mapper.map(&pcn, mesh).unwrap();
         let mut p = out.placement.clone();
         let fm = FaultMap::new(mesh);
-        let report =
-            mapper.repair_incremental(&pcn, &mut p, &fm, &fm, 2, RunBudget::default()).unwrap();
+        let budget = RunBudget::default();
+        let report = mapper
+            .repair_incremental_traced(&pcn, &mut p, &fm, &fm, 2, budget, &mut NoopSink)
+            .unwrap();
         assert!(report.delta.is_empty());
         assert_eq!(report.moved, 0);
         assert_eq!(report.region_cores, 0);

@@ -32,7 +32,7 @@ use snnmap_model::Pcn;
 use snnmap_trace::{time_phase, TraceSink};
 
 use crate::coarsen::{coarsen, CoarsenConfig};
-use crate::fd::force_directed_impl;
+use crate::fd::force_directed;
 use crate::hsc::check_capacity;
 use crate::mapper::MapOutcome;
 use crate::{toposort, CoreError, FdConfig, FdRunOpts, RunBudget};
@@ -160,7 +160,7 @@ pub(crate) fn multilevel_map_impl<S: TraceSink + ?Sized>(
                 opts.budget.max_sweeps = Some(tightened);
             }
             let t1 = Instant::now();
-            final_stats = Some(force_directed_impl(
+            final_stats = Some(force_directed(
                 graphs[0],
                 &mut placement,
                 cfg,
@@ -176,7 +176,7 @@ pub(crate) fn multilevel_map_impl<S: TraceSink + ?Sized>(
                 budget: RunBudget { cancel: cancel.clone(), ..RunBudget::default() },
                 ..FdRunOpts::default()
             };
-            force_directed_impl(
+            force_directed(
                 graphs[gi], &mut placement, cfg, faults_at(m), None, &mut level_opts, sink,
             )?;
         } else {
@@ -192,7 +192,7 @@ pub(crate) fn multilevel_map_impl<S: TraceSink + ?Sized>(
                     region: Some(region),
                     ..FdRunOpts::default()
                 };
-                force_directed_impl(
+                force_directed(
                     graphs[gi], &mut placement, cfg, faults_at(m), None, &mut level_opts, sink,
                 )?;
             }
@@ -253,10 +253,7 @@ fn project_level(
     }
 
     let mut free = FreeCells::new(fine_mesh, faults);
-    let mut placement = match faults {
-        Some(fm) => Placement::new_unplaced_masked(fine_mesh, fine_n, fm)?,
-        None => Placement::new_unplaced(fine_mesh, fine_n),
-    };
+    let mut placement = crate::hsc::fresh_placement(fine_mesh, fine_n, faults)?;
     let mut dirty: Vec<Coord> = Vec::new();
     for g in 0..coarse_n {
         let pc = parent.coord_of(g).ok_or(CoreError::IncompletePlacement {

@@ -40,6 +40,7 @@
 //! original message for callers that treat a poisoned chunk as a bug.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -83,6 +84,23 @@ static PARALLEL_CALLS: AtomicU64 = AtomicU64::new(0);
 static WORKERS: AtomicU64 = AtomicU64::new(0);
 static ITEMS: AtomicU64 = AtomicU64::new(0);
 static BUSY_NS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The calling thread's share of the counters (see [`thread_counters`]).
+    static THREAD: Cell<ParCounters> = Cell::new(ParCounters::default());
+}
+
+/// Adds `n` to a process-wide counter and to the same field of the
+/// calling thread's share. Helpers count only from the thread that
+/// invoked them (never from their workers), so the share is exact.
+fn bump(global: &AtomicU64, n: u64, field: fn(&mut ParCounters) -> &mut u64) {
+    global.fetch_add(n, Relaxed);
+    THREAD.with(|t| {
+        let mut c = t.get();
+        *field(&mut c) += n;
+        t.set(c);
+    });
+}
 
 /// A worker closure panicked inside a parallel helper.
 ///
@@ -233,6 +251,14 @@ pub fn counters() -> ParCounters {
         items: ITEMS.load(Relaxed),
         busy_ns: BUSY_NS.load(Relaxed),
     }
+}
+
+/// The calling thread's share of [`counters`]: the helper invocations
+/// made from this thread and the workers they spawned. A scope that runs
+/// on one thread (an FD run) takes its delta from here, so concurrent
+/// scopes elsewhere in the process never leak into its telemetry.
+pub(crate) fn thread_counters() -> ParCounters {
+    THREAD.with(Cell::get)
 }
 
 /// Why an `SNNMAP_THREADS` value was rejected (see
@@ -460,8 +486,8 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    CALLS.fetch_add(1, Relaxed);
-    ITEMS.fetch_add(out.len() as u64, Relaxed);
+    bump(&CALLS, 1, |c| &mut c.calls);
+    bump(&ITEMS, out.len() as u64, |c| &mut c.items);
     par_init_inner(effective_threads(threads, out.len()), out, f)
 }
 
@@ -485,14 +511,14 @@ where
     }
     let chunk = n.div_ceil(threads);
     let f = &f;
-    PARALLEL_CALLS.fetch_add(1, Relaxed);
+    bump(&PARALLEL_CALLS, 1, |c| &mut c.parallel_calls);
     std::thread::scope(|s| {
         let mut chunks = out.chunks_mut(chunk);
         let first = chunks.next();
         let mut handles = Vec::with_capacity(threads - 1);
         for (k, part) in chunks.enumerate() {
             let base = (k + 1) * chunk;
-            WORKERS.fetch_add(1, Relaxed);
+            bump(&WORKERS, 1, |c| &mut c.workers_spawned);
             handles.push(s.spawn(move || {
                 catch_unwind(AssertUnwindSafe(|| {
                     hooks::maybe_inject();
@@ -565,8 +591,8 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    CALLS.fetch_add(1, Relaxed);
-    ITEMS.fetch_add(data.len() as u64, Relaxed);
+    bump(&CALLS, 1, |c| &mut c.calls);
+    bump(&ITEMS, data.len() as u64, |c| &mut c.items);
     par_update_inner(effective_threads(threads, data.len()), data, f)
 }
 
@@ -588,14 +614,14 @@ where
     }
     let chunk = n.div_ceil(threads);
     let f = &f;
-    PARALLEL_CALLS.fetch_add(1, Relaxed);
+    bump(&PARALLEL_CALLS, 1, |c| &mut c.parallel_calls);
     std::thread::scope(|s| {
         let mut chunks = data.chunks_mut(chunk);
         let first = chunks.next();
         let mut handles = Vec::with_capacity(threads - 1);
         for (k, part) in chunks.enumerate() {
             let base = (k + 1) * chunk;
-            WORKERS.fetch_add(1, Relaxed);
+            bump(&WORKERS, 1, |c| &mut c.workers_spawned);
             handles.push(s.spawn(move || {
                 catch_unwind(AssertUnwindSafe(|| {
                     hooks::maybe_inject();
@@ -642,14 +668,15 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    CALLS.fetch_add(1, Relaxed);
     let n = data.len();
-    ITEMS.fetch_add(n as u64, Relaxed);
+    bump(&CALLS, 1, |c| &mut c.calls);
+    bump(&ITEMS, n as u64, |c| &mut c.items);
     let workers = effective_threads_with(threads, n, tuner.min_items());
     let t0 = Instant::now();
     let result = par_update_inner(workers, data, f);
     let elapsed = t0.elapsed();
-    BUSY_NS.fetch_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), Relaxed);
+    let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+    bump(&BUSY_NS, ns, |c| &mut c.busy_ns);
     if result.is_ok() {
         tuner.observe(n, workers, elapsed);
     }
@@ -689,8 +716,8 @@ where
     R: Send,
     F: Fn(usize, &mut Vec<R>) + Sync,
 {
-    CALLS.fetch_add(1, Relaxed);
-    ITEMS.fetch_add(n as u64, Relaxed);
+    bump(&CALLS, 1, |c| &mut c.calls);
+    bump(&ITEMS, n as u64, |c| &mut c.items);
     par_flat_map_inner(effective_threads(threads, n), n, f)
 }
 
@@ -711,13 +738,14 @@ where
     R: Send,
     F: Fn(usize, &mut Vec<R>) + Sync,
 {
-    CALLS.fetch_add(1, Relaxed);
-    ITEMS.fetch_add(n as u64, Relaxed);
+    bump(&CALLS, 1, |c| &mut c.calls);
+    bump(&ITEMS, n as u64, |c| &mut c.items);
     let workers = effective_threads_with(threads, n, tuner.min_items());
     let t0 = Instant::now();
     let result = par_flat_map_inner(workers, n, f);
     let elapsed = t0.elapsed();
-    BUSY_NS.fetch_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), Relaxed);
+    let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+    bump(&BUSY_NS, ns, |c| &mut c.busy_ns);
     if result.is_ok() {
         tuner.observe(n, workers, elapsed);
     }
@@ -744,7 +772,7 @@ where
     let chunk = n.div_ceil(threads);
     let f = &f;
     let mut parts: Vec<Vec<R>> = Vec::with_capacity(threads);
-    PARALLEL_CALLS.fetch_add(1, Relaxed);
+    bump(&PARALLEL_CALLS, 1, |c| &mut c.parallel_calls);
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads - 1);
         for k in 1..threads {
@@ -753,7 +781,7 @@ where
             if lo >= hi {
                 break;
             }
-            WORKERS.fetch_add(1, Relaxed);
+            bump(&WORKERS, 1, |c| &mut c.workers_spawned);
             handles.push(s.spawn(move || {
                 catch_unwind(AssertUnwindSafe(|| {
                     hooks::maybe_inject();
@@ -835,8 +863,8 @@ where
     F: Fn(std::ops::Range<usize>) -> f64 + Sync,
 {
     assert!(block > 0, "block size must be positive");
-    CALLS.fetch_add(1, Relaxed);
-    ITEMS.fetch_add(n as u64, Relaxed);
+    bump(&CALLS, 1, |c| &mut c.calls);
+    bump(&ITEMS, n as u64, |c| &mut c.items);
     if n == 0 {
         return Ok(0.0);
     }
@@ -1015,6 +1043,22 @@ mod tests {
         assert!(d.calls >= 1, "{d:?}");
         assert!(d.items >= 5_000, "{d:?}");
         assert!(d.busy_ns > 0, "{d:?}");
+    }
+
+    #[test]
+    fn thread_counters_exclude_other_threads() {
+        let before = thread_counters();
+        let other = std::thread::spawn(|| {
+            for _ in 0..50 {
+                par_flat_map(2, 5_000, |i, out| out.push(i));
+            }
+        });
+        for _ in 0..3 {
+            par_flat_map(1, 10, |i, out| out.push(i));
+        }
+        other.join().unwrap();
+        let d = thread_counters().since(before);
+        assert_eq!((d.calls, d.items, d.parallel_calls, d.workers_spawned), (3, 30, 0, 0));
     }
 
     #[test]

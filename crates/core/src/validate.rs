@@ -545,7 +545,7 @@ mod tests {
     fn clean_placement_validates() {
         let pcn = pcn_with(4, 10, 100);
         let mesh = Mesh::new(2, 2).unwrap();
-        let p = crate::hsc_placement(&pcn, mesh).unwrap();
+        let p = crate::hsc_placement(&pcn, mesh, None, 1).unwrap();
         let report = validate(&pcn, &p, None, Some(&CoreConstraints::default())).unwrap();
         assert!(report.is_ok());
         assert_eq!(report.to_string(), "placement valid");
@@ -555,7 +555,7 @@ mod tests {
     fn detects_and_repairs_dead_core_occupancy() {
         let pcn = pcn_with(4, 10, 100);
         let mesh = Mesh::new(3, 3).unwrap();
-        let p0 = crate::hsc_placement(&pcn, mesh).unwrap();
+        let p0 = crate::hsc_placement(&pcn, mesh, None, 1).unwrap();
         // The fault arrives *after* mapping: kill the core under cluster 2.
         let dead = p0.coord_of(2).unwrap();
         let mut fm = FaultMap::new(mesh);
@@ -593,7 +593,7 @@ mod tests {
     fn capacity_violations_are_reported_not_repaired() {
         let pcn = pcn_with(2, 100, 10);
         let mesh = Mesh::new(2, 2).unwrap();
-        let mut p = crate::hsc_placement(&pcn, mesh).unwrap();
+        let mut p = crate::hsc_placement(&pcn, mesh, None, 1).unwrap();
         let tight = CoreConstraints::new(50, 1_000).unwrap();
         let report = validate(&pcn, &p, None, Some(&tight)).unwrap();
         assert_eq!(report.violations().len(), 2);
@@ -606,7 +606,7 @@ mod tests {
     fn repair_without_room_reports_insufficient_cores() {
         let pcn = pcn_with(4, 1, 1);
         let mesh = Mesh::new(2, 2).unwrap();
-        let mut p = crate::hsc_placement(&pcn, mesh).unwrap();
+        let mut p = crate::hsc_placement(&pcn, mesh, None, 1).unwrap();
         let mut fm = FaultMap::new(mesh);
         fm.kill_core(p.coord_of(0).unwrap()).unwrap();
         // Full mesh, one core now dead: nowhere to go.
@@ -620,7 +620,7 @@ mod tests {
     fn failed_repair_leaves_the_placement_untouched() {
         let pcn = pcn_with(4, 1, 1);
         let mesh = Mesh::new(2, 3).unwrap();
-        let mut p = crate::hsc_placement(&pcn, mesh).unwrap();
+        let mut p = crate::hsc_placement(&pcn, mesh, None, 1).unwrap();
         // Strand two clusters but leave only one free healthy core: the
         // first stranded cluster could relocate, the second cannot — the
         // whole repair must roll back.
@@ -649,7 +649,7 @@ mod tests {
                 FaultPattern::Clustered { core_rate: 0.15, regions: 2 },
             ] {
                 let fm = FaultInjector::new(seed).inject(mesh, &pattern).unwrap();
-                let mut p = crate::hsc_placement(&pcn, mesh).unwrap();
+                let mut p = crate::hsc_placement(&pcn, mesh, None, 1).unwrap();
                 let first = repair(&pcn, &mut p, Some(&fm), None).unwrap();
                 // Repaired placements always pass validate().
                 assert!(

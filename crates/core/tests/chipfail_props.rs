@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use snnmap_core::{validate_board, Mapper, RunBudget, Violation};
 use snnmap_hw::{Board, CoreConstraints, FaultMap, Placement};
 use snnmap_model::{Pcn, PcnBuilder};
+use snnmap_trace::NoopSink;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -81,13 +82,14 @@ fn map_and_repair(
     current.kill_chip(board, chip).expect("chip on board");
     let mut repaired = healthy;
     let report = mapper
-        .repair_incremental(
+        .repair_incremental_traced(
             pcn,
             &mut repaired,
             &previous,
             &current,
             REPAIR_RADIUS,
             RunBudget { max_sweeps: Some(REPAIR_SWEEPS), ..RunBudget::default() },
+            &mut NoopSink,
         )
         .expect("repair returns Ok even when degraded");
     (repaired, report, current)

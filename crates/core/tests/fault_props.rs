@@ -7,11 +7,12 @@
 
 use proptest::prelude::*;
 use snnmap_core::{
-    force_directed_masked, hsc_placement_masked, random_placement_masked, CoreError, FdConfig,
+    force_directed, hsc_placement, random_placement, CoreError, FdConfig, FdRunOpts,
 };
 use snnmap_hw::{FaultInjector, FaultMap, FaultPattern, Mesh, Placement};
 use snnmap_model::generators::random_pcn;
 use snnmap_model::Pcn;
+use snnmap_trace::NoopSink;
 
 fn inject(mesh: Mesh, rate: f64, seed: u64) -> FaultMap {
     let pattern = FaultPattern::Uniform { core_rate: rate, link_rate: 0.0 };
@@ -68,8 +69,8 @@ proptest! {
         let fm = inject(mesh, rate, seed);
         let n = ((mesh.len() as f64 * load).ceil() as u32).max(1);
         let pcn = random_pcn(n, (n - 1).min(2) as f64, seed).unwrap();
-        check_outcome(hsc_placement_masked(&pcn, mesh, &fm), &pcn, mesh, &fm)?;
-        check_outcome(random_placement_masked(&pcn, mesh, seed, &fm), &pcn, mesh, &fm)?;
+        check_outcome(hsc_placement(&pcn, mesh, Some(&fm), 1), &pcn, mesh, &fm)?;
+        check_outcome(random_placement(&pcn, mesh, seed, Some(&fm)), &pcn, mesh, &fm)?;
     }
 
     /// The masked random placement is a pure function of its seed.
@@ -84,8 +85,8 @@ proptest! {
         let healthy = mesh.len() - fm.num_dead_cores() as usize;
         let n = (healthy as u32 / 2).max(1);
         let pcn = random_pcn(n, 1.0, seed).unwrap();
-        let a = random_placement_masked(&pcn, mesh, seed, &fm).unwrap();
-        let b = random_placement_masked(&pcn, mesh, seed, &fm).unwrap();
+        let a = random_placement(&pcn, mesh, seed, Some(&fm)).unwrap();
+        let b = random_placement(&pcn, mesh, seed, Some(&fm)).unwrap();
         for c in 0..n {
             prop_assert_eq!(a.coord_of(c), b.coord_of(c));
         }
@@ -109,9 +110,12 @@ proptest! {
         let healthy = mesh.len() - fm.num_dead_cores() as usize;
         let n = ((healthy * 3 / 4) as u32).max(4);
         let pcn = random_pcn(n, 2.0, seed).unwrap();
-        let mut p = hsc_placement_masked(&pcn, mesh, &fm).unwrap();
+        let mut p = hsc_placement(&pcn, mesh, Some(&fm), 1).unwrap();
         let config = FdConfig { max_iterations: Some(25), ..FdConfig::default() };
-        let stats = force_directed_masked(&pcn, &mut p, &config, &fm).unwrap();
+        let mut opts = FdRunOpts::default();
+        let stats =
+            force_directed(&pcn, &mut p, &config, Some(&fm), None, &mut opts, &mut NoopSink)
+                .unwrap();
         prop_assert!(
             stats.final_energy <= stats.initial_energy + 1e-9,
             "energy rose: {} -> {}",

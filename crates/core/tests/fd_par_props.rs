@@ -4,26 +4,23 @@
 //! identical [`FdStats`]** for `threads = 1, 2, 4, 8`. Parallelism may
 //! only change wall-clock time, never a single coordinate or statistic
 //! (energies are compared via their bit patterns, not a tolerance).
-//!
-//! The whole suite runs against whichever coordinate scalar the build
-//! selected: the default f64 SoA layout, or f32 under
-//! `--features f32-coords`. Thread-count invariance must hold in both
-//! builds — the f32 build is *self*-consistent across threads even
-//! though its squared-potential energies round differently than f64's
-//! (so cross-build placement digests legitimately diverge; DESIGN.md
-//! §1c records which).
 
 use proptest::prelude::*;
 use snnmap_core::{
-    force_directed, force_directed_masked, force_directed_traced,
-    hsc_placement_masked_threaded, hsc_placement_threaded, FdConfig, FdStats,
-    IncrementalCongestion, Objective, Potential,
+    force_directed, hsc_placement, CoreError, FdConfig, FdRunOpts, FdStats, IncrementalCongestion,
+    Objective, Potential,
 };
-use snnmap_hw::{CostModel, FaultInjector, FaultMap, FaultPattern, Mesh};
+use snnmap_hw::{CostModel, FaultInjector, FaultMap, FaultPattern, Mesh, Placement};
 use snnmap_model::generators::random_pcn;
-use snnmap_trace::JsonlSink;
+use snnmap_model::Pcn;
+use snnmap_trace::{JsonlSink, NoopSink};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// FD with no hardware restriction, run options or tracing.
+fn fd(pcn: &Pcn, p: &mut Placement, cfg: &FdConfig) -> Result<FdStats, CoreError> {
+    force_directed(pcn, p, cfg, None, None, &mut FdRunOpts::default(), &mut NoopSink)
+}
 
 /// Bitwise comparison of two stats records: `PartialEq` on the floats
 /// would already fail on any rounding difference, but comparing bits also
@@ -77,11 +74,11 @@ proptest! {
         // cannot hide divergence (every sweep is compared end-state).
         let cap = if side >= 32 { Some(12) } else { None };
 
-        let init = hsc_placement_threaded(&pcn, mesh, 1).unwrap();
+        let init = hsc_placement(&pcn, mesh, None, 1).unwrap();
         let mut reference = None;
         for threads in THREADS {
             prop_assert_eq!(
-                &hsc_placement_threaded(&pcn, mesh, threads).unwrap(),
+                &hsc_placement(&pcn, mesh, None, threads).unwrap(),
                 &init,
                 "initial placement diverged at threads={}",
                 threads
@@ -93,7 +90,7 @@ proptest! {
                 ..FdConfig::default()
             };
             let mut p = init.clone();
-            let stats = force_directed(&pcn, &mut p, &cfg).unwrap();
+            let stats = fd(&pcn, &mut p, &cfg).unwrap();
             match &reference {
                 None => reference = Some((p, stats)),
                 Some((rp, rs)) => {
@@ -125,18 +122,21 @@ proptest! {
         let pcn = random_pcn(clusters, 4.0, seed ^ 0xA5A5).unwrap();
         let cap = if side >= 32 { Some(10) } else { None };
 
-        let init = hsc_placement_masked_threaded(&pcn, mesh, &fm, 1).unwrap();
+        let init = hsc_placement(&pcn, mesh, Some(&fm), 1).unwrap();
         let mut reference = None;
         for threads in THREADS {
             prop_assert_eq!(
-                &hsc_placement_masked_threaded(&pcn, mesh, &fm, threads).unwrap(),
+                &hsc_placement(&pcn, mesh, Some(&fm), threads).unwrap(),
                 &init,
                 "masked initial placement diverged at threads={}",
                 threads
             );
             let cfg = FdConfig { max_iterations: cap, threads, ..FdConfig::default() };
             let mut p = init.clone();
-            let stats = force_directed_masked(&pcn, &mut p, &cfg, &fm).unwrap();
+            let mut opts = FdRunOpts::default();
+            let stats =
+                force_directed(&pcn, &mut p, &cfg, Some(&fm), None, &mut opts, &mut NoopSink)
+                    .unwrap();
             for (_, coord) in p.iter_placed() {
                 prop_assert!(!fm.is_dead(coord), "swap onto dead core {}", coord);
             }
@@ -221,7 +221,7 @@ proptest! {
             lambda_c: [0.5, 1.0, 2.0, 4.0][lc_idx],
             lambda_t: [0.0, 0.1, 0.5][lt_idx],
         };
-        let init = hsc_placement_threaded(&pcn, mesh, 1).unwrap();
+        let init = hsc_placement(&pcn, mesh, None, 1).unwrap();
         let mut reference = None;
         for threads in THREADS {
             let cfg = FdConfig {
@@ -232,7 +232,9 @@ proptest! {
             };
             let mut p = init.clone();
             let mut sink = JsonlSink::new(Vec::new()).with_timing(false);
-            let stats = force_directed_traced(&pcn, &mut p, &cfg, &mut sink).unwrap();
+            let mut opts = FdRunOpts::default();
+            let stats =
+                force_directed(&pcn, &mut p, &cfg, None, None, &mut opts, &mut sink).unwrap();
             let trace = String::from_utf8(sink.finish().unwrap()).unwrap();
             // The raw JSON tokens of the per-sweep composite totals:
             // compared as *bytes* across threads, parsed for descent.
@@ -296,7 +298,7 @@ proptest! {
 fn hookless_reweighting_is_thread_count_invariant() {
     let pcn = random_pcn(180, 4.0, 13).unwrap();
     let mesh = Mesh::new(16, 16).unwrap();
-    let init = hsc_placement_threaded(&pcn, mesh, 1).unwrap();
+    let init = hsc_placement(&pcn, mesh, None, 1).unwrap();
     let mut reference = None;
     for threads in THREADS {
         let cfg = FdConfig {
@@ -307,7 +309,7 @@ fn hookless_reweighting_is_thread_count_invariant() {
             ..FdConfig::default()
         };
         let mut p = init.clone();
-        let stats = force_directed(&pcn, &mut p, &cfg).unwrap();
+        let stats = fd(&pcn, &mut p, &cfg).unwrap();
         match &reference {
             None => reference = Some((p, stats)),
             Some((rp, rs)) => {
@@ -332,7 +334,7 @@ fn hookless_reweighting_is_thread_count_invariant() {
 fn every_kernel_is_thread_count_invariant() {
     let pcn = random_pcn(200, 4.0, 11).unwrap();
     let mesh = Mesh::new(16, 16).unwrap();
-    let init = hsc_placement_threaded(&pcn, mesh, 1).unwrap();
+    let init = hsc_placement(&pcn, mesh, None, 1).unwrap();
     for potential in [
         Potential::L1,
         Potential::L1Squared,
@@ -348,7 +350,7 @@ fn every_kernel_is_thread_count_invariant() {
                 ..FdConfig::default()
             };
             let mut p = init.clone();
-            let stats = force_directed(&pcn, &mut p, &cfg).unwrap();
+            let stats = fd(&pcn, &mut p, &cfg).unwrap();
             match &reference {
                 None => reference = Some((p, stats)),
                 Some((rp, rs)) => {
@@ -372,12 +374,12 @@ fn every_kernel_is_thread_count_invariant() {
 fn full_convergence_is_thread_count_invariant() {
     let pcn = random_pcn(240, 4.0, 7).unwrap();
     let mesh = Mesh::new(16, 16).unwrap();
-    let init = hsc_placement_threaded(&pcn, mesh, 1).unwrap();
+    let init = hsc_placement(&pcn, mesh, None, 1).unwrap();
     let mut reference = None;
     for threads in THREADS {
         let cfg = FdConfig { threads, ..FdConfig::default() };
         let mut p = init.clone();
-        let stats = force_directed(&pcn, &mut p, &cfg).unwrap();
+        let stats = fd(&pcn, &mut p, &cfg).unwrap();
         assert!(stats.converged, "threads={threads} failed to converge");
         match &reference {
             None => reference = Some((p, stats)),

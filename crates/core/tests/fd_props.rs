@@ -2,11 +2,19 @@
 
 use proptest::prelude::*;
 use snnmap_core::{
-    force_directed, hsc_placement, random_placement, toposort, FdConfig, Potential,
+    force_directed, hsc_placement, random_placement, toposort, CoreError, FdConfig, FdRunOpts,
+    FdStats, Potential,
 };
-use snnmap_hw::{CostModel, Mesh};
+use snnmap_hw::{CostModel, Mesh, Placement};
 use snnmap_metrics::energy;
 use snnmap_model::generators::random_pcn;
+use snnmap_model::Pcn;
+use snnmap_trace::NoopSink;
+
+/// FD with no hardware restriction, run options or tracing.
+fn fd(pcn: &Pcn, p: &mut Placement, cfg: &FdConfig) -> Result<FdStats, CoreError> {
+    force_directed(pcn, p, cfg, None, None, &mut FdRunOpts::default(), &mut NoopSink)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -18,10 +26,10 @@ proptest! {
         let pcn = random_pcn(36, 4.0, seed).unwrap();
         let mesh = Mesh::new(6, 6).unwrap();
         let cfg = FdConfig { lambda: lambda_pct as f64 / 10.0, ..FdConfig::default() };
-        let mut p = random_placement(&pcn, mesh, seed).unwrap();
-        let first = force_directed(&pcn, &mut p, &cfg).unwrap();
+        let mut p = random_placement(&pcn, mesh, seed, None).unwrap();
+        let first = fd(&pcn, &mut p, &cfg).unwrap();
         prop_assert!(first.converged);
-        let second = force_directed(&pcn, &mut p, &cfg).unwrap();
+        let second = fd(&pcn, &mut p, &cfg).unwrap();
         prop_assert_eq!(second.swaps, 0, "second run must find nothing to do");
         prop_assert_eq!(second.iterations, 0);
     }
@@ -34,15 +42,11 @@ proptest! {
         let cost = CostModel::paper_target();
         let pcn = random_pcn(49, 4.0, seed).unwrap();
         let mesh = Mesh::new(7, 7).unwrap();
-        let init = hsc_placement(&pcn, mesh).unwrap();
+        let init = hsc_placement(&pcn, mesh, None, 1).unwrap();
         let e_init = energy(&pcn, &init, cost).unwrap();
         let mut p = init.clone();
-        force_directed(
-            &pcn,
-            &mut p,
-            &FdConfig { potential: Potential::energy_model(cost), ..FdConfig::default() },
-        )
-        .unwrap();
+        let cfg = FdConfig { potential: Potential::energy_model(cost), ..FdConfig::default() };
+        fd(&pcn, &mut p, &cfg).unwrap();
         let e_fd = energy(&pcn, &p, cost).unwrap();
         prop_assert!(e_fd <= e_init + 1e-9, "{} > {}", e_fd, e_init);
     }
@@ -53,8 +57,8 @@ proptest! {
     fn fd_stats_consistent(seed in 0u64..500) {
         let pcn = random_pcn(25, 3.0, seed).unwrap();
         let mesh = Mesh::new(5, 5).unwrap();
-        let mut p = random_placement(&pcn, mesh, seed ^ 1).unwrap();
-        let stats = force_directed(&pcn, &mut p, &FdConfig::default()).unwrap();
+        let mut p = random_placement(&pcn, mesh, seed ^ 1, None).unwrap();
+        let stats = fd(&pcn, &mut p, &FdConfig::default()).unwrap();
         prop_assert!(stats.final_energy <= stats.initial_energy + 1e-9);
         if stats.swaps == 0 {
             prop_assert!((stats.final_energy - stats.initial_energy).abs() < 1e-9);

@@ -30,14 +30,14 @@ use crate::{NocConfig, NocSim, PcnTraffic};
 /// # Examples
 ///
 /// ```
-/// use snnmap_core::{force_directed_budgeted, random_placement, FdConfig, FdRunOpts, Objective};
+/// use snnmap_core::{force_directed, random_placement, FdConfig, FdRunOpts, Objective};
 /// use snnmap_hw::Mesh;
 /// use snnmap_model::generators::random_pcn;
 /// use snnmap_noc::NocReweighter;
 /// use snnmap_trace::NoopSink;
 ///
 /// let pcn = random_pcn(48, 4.0, 3)?;
-/// let mut placement = random_placement(&pcn, Mesh::new(7, 7)?, 0)?;
+/// let mut placement = random_placement(&pcn, Mesh::new(7, 7)?, 0, None)?;
 /// let mut hook = NocReweighter::new(&pcn, 0.05, 64, 42);
 /// let config = FdConfig {
 ///     objective: Objective::Composite { lambda_c: 0.5, lambda_t: 0.0 },
@@ -45,7 +45,8 @@ use crate::{NocConfig, NocSim, PcnTraffic};
 ///     ..FdConfig::default()
 /// };
 /// let mut opts = FdRunOpts { reweighter: Some(&mut hook), ..FdRunOpts::default() };
-/// let stats = force_directed_budgeted(&pcn, &mut placement, &config, None, &mut opts, &mut NoopSink)?;
+/// let stats =
+///     force_directed(&pcn, &mut placement, &config, None, None, &mut opts, &mut NoopSink)?;
 /// assert!(stats.final_energy <= stats.initial_energy * 1.5);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```

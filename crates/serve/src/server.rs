@@ -36,7 +36,7 @@ use snnmap_io::{
     write_checkpoint, IoError, JobSpec,
 };
 use snnmap_noc::NocReweighter;
-use snnmap_trace::{sha256_hex, ProgressSink};
+use snnmap_trace::{sha256_hex, NoopSink, ProgressSink};
 
 use crate::http::{self, Request};
 use crate::job::{parse_state, Job, JobState};
@@ -848,7 +848,15 @@ fn repair_chip(
     current.kill_chip(board, chip).map_err(|e| e.to_string())?;
     let budget = RunBudget { max_sweeps: Some(REPAIR_SWEEPS), ..RunBudget::default() };
     let report = mapper
-        .repair_incremental(&spec.pcn, placement, previous, &current, REPAIR_RADIUS, budget)
+        .repair_incremental_traced(
+            &spec.pcn,
+            placement,
+            previous,
+            &current,
+            REPAIR_RADIUS,
+            budget,
+            &mut NoopSink,
+        )
         .map_err(|e| e.to_string())?;
     Ok((current, report))
 }
@@ -1377,7 +1385,7 @@ mod tests {
             .potential(Potential::L2Squared)
             .lambda(0.3)
             .build()
-            .map_budgeted(&pcn, mesh, &mut opts)
+            .map_budgeted_traced(&pcn, mesh, &mut opts, &mut NoopSink)
             .unwrap();
         assert_eq!(placement, render_placement(&offline.placement));
         assert_eq!(
@@ -1440,7 +1448,7 @@ mod tests {
             .objective(snnmap_core::Objective::Composite { lambda_c: 1.5, lambda_t: 0.0 })
             .reweight_every(2)
             .build()
-            .map_budgeted(&pcn, mesh, &mut opts)
+            .map_budgeted_traced(&pcn, mesh, &mut opts, &mut NoopSink)
             .unwrap();
         assert_eq!(placement, render_placement(&offline.placement));
 

@@ -23,7 +23,7 @@ use snnmap_core::{FdRunOpts, Mapper, RunBudget};
 use snnmap_io::{parse_job, render_pcn, render_placement, write_checkpoint};
 use snnmap_model::generators::random_pcn;
 use snnmap_serve::{ServeConfig, Server};
-use snnmap_trace::sha256_hex;
+use snnmap_trace::{sha256_hex, NoopSink};
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -174,7 +174,7 @@ fn plant_dead_peers_job(spool: &Path, id: u64, body: &str) -> String {
         ..FdRunOpts::default()
     };
     opts.on_checkpoint = Some(&mut writer);
-    mapper.map_budgeted(&spec.pcn, spec.mesh, &mut opts).unwrap();
+    mapper.map_budgeted_traced(&spec.pcn, spec.mesh, &mut opts, &mut NoopSink).unwrap();
     assert!(cp_path.is_file(), "the budgeted stop must flush a checkpoint");
     write_lease(spool, id, "dead-daemon", Duration::from_secs(10));
     reference

@@ -20,7 +20,7 @@ use snnmap_core::{FdRunOpts, Mapper, RunBudget};
 use snnmap_io::{parse_job, render_pcn, render_placement, write_checkpoint};
 use snnmap_model::generators::random_pcn;
 use snnmap_serve::{ServeConfig, Server};
-use snnmap_trace::sha256_hex;
+use snnmap_trace::{sha256_hex, NoopSink};
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -105,7 +105,9 @@ fn restart_finishes_spooled_jobs_byte_identically() {
         ..FdRunOpts::default()
     };
     opts.on_checkpoint = Some(&mut writer);
-    let partial = mapper.map_budgeted(&pcn, spec.mesh, &mut opts).unwrap();
+    let partial = mapper
+        .map_budgeted_traced(&pcn, spec.mesh, &mut opts, &mut NoopSink)
+        .unwrap();
     assert!(cp_path.is_file(), "the budgeted stop must flush a checkpoint");
     assert_ne!(
         render_placement(&partial.placement),

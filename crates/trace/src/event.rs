@@ -200,7 +200,9 @@ pub struct ReweightEvent {
     pub hottest_col: u64,
 }
 
-/// Thread-pool utilization delta from `snnmap_core::par` counters.
+/// Thread-pool utilization delta from `snnmap_core::par` counters. It
+/// counts only the helper calls the scope made itself: concurrent
+/// pipelines elsewhere in the process never leak into it.
 ///
 /// `parallel_calls` and `workers_spawned` are **timing fields**: the
 /// runtime granularity tuner moves the serial/parallel cutoff based on

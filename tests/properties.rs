@@ -1,12 +1,13 @@
 //! Workspace-level property-based tests on the core invariants.
 
 use proptest::prelude::*;
-use snnmap::core::{force_directed, hsc_placement, toposort, FdConfig, Potential};
+use snnmap::core::{force_directed, hsc_placement, toposort, FdConfig, FdRunOpts, Potential};
 use snnmap::curves::{Gilbert, Hilbert, Serpentine, SpaceFillingCurve, Spiral};
 use snnmap::metrics::{energy, evaluate};
 use snnmap::model::generators::random_pcn;
 use snnmap::model::partition;
 use snnmap::prelude::*;
+use snnmap::trace::NoopSink;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -76,14 +77,13 @@ proptest! {
         ][pot];
         let pcn = random_pcn(49, 4.0, seed).unwrap();
         let mesh = Mesh::new(7, 7).unwrap();
-        let mut placement = hsc_placement(&pcn, mesh).unwrap();
+        let mut placement = hsc_placement(&pcn, mesh, None, 1).unwrap();
         let before = energy(&pcn, &placement, cost).unwrap();
-        let stats = force_directed(
-            &pcn,
-            &mut placement,
-            &FdConfig { potential, ..FdConfig::default() },
-        )
-        .unwrap();
+        let cfg = FdConfig { potential, ..FdConfig::default() };
+        let mut opts = FdRunOpts::default();
+        let stats =
+            force_directed(&pcn, &mut placement, &cfg, None, None, &mut opts, &mut NoopSink)
+                .unwrap();
         prop_assert!(stats.final_energy <= stats.initial_energy + 1e-9);
         placement.check_consistency().unwrap();
         if matches!(potential, Potential::EnergyModel { .. }) {
@@ -100,7 +100,7 @@ proptest! {
         let (_, cost) = snnmap::hw::presets::paper_target();
         let pcn = random_pcn(30, 3.0, seed).unwrap();
         let mesh = Mesh::new(6, 6).unwrap();
-        let placement = hsc_placement(&pcn, mesh).unwrap();
+        let placement = hsc_placement(&pcn, mesh, None, 1).unwrap();
         let r = evaluate(&pcn, &placement, cost).unwrap();
         prop_assert!(r.avg_latency <= r.max_latency + 1e-12);
         prop_assert!(r.avg_congestion <= r.max_congestion + 1e-12);
