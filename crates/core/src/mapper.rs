@@ -437,7 +437,13 @@ impl Mapper {
     /// result moves strictly fewer clusters than a full remap, at a small
     /// cost in final energy.
     ///
-    /// `sink` receives the FD engine's telemetry for the region pass plus
+    /// Outside that FD pass the repair scans the mesh a constant number of
+    /// times: eviction searches a list of the free cores, and the dirty
+    /// region is painted ball by ball, so the bookkeeping costs
+    /// O(mesh + evictions × free cores + seeds × radius²).
+    ///
+    /// `sink` receives a `repair` phase span covering eviction and the
+    /// region build, the FD engine's telemetry for the region pass, and
     /// one final `repair` event summarizing the disruption.
     ///
     /// # Errors
@@ -470,28 +476,24 @@ impl Mapper {
         }
         let n = pcn.num_clusters();
         let before: Vec<Option<Coord>> = (0..n).map(|c| placement.coord_of(c)).collect();
-        let (outcome, degraded) = match &self.board {
-            Some(board) => repair_board(pcn, placement, Some(current), board)?,
-            None => (repair(pcn, placement, Some(current), None)?, None),
-        };
-
-        let mesh = placement.mesh();
-        let mut seeds: Vec<Coord> = Vec::new();
-        for mv in &outcome.moved {
-            seeds.extend(mv.from);
-            seeds.push(mv.to);
-        }
-        seeds.extend_from_slice(&delta.new_dead_cores);
-        for &(a, b) in &delta.new_failed_links {
-            seeds.push(a);
-            seeds.push(b);
-        }
-        let mut region = vec![false; mesh.len()];
-        for c in mesh.iter() {
-            if seeds.iter().any(|&s| s.manhattan(c) <= u32::from(radius)) {
-                region[mesh.index_of(c)] = true;
+        let (outcome, degraded, region) = time_phase(sink, "repair", || {
+            let (outcome, degraded) = match &self.board {
+                Some(board) => repair_board(pcn, placement, Some(current), board)?,
+                None => (repair(pcn, placement, Some(current), None)?, None),
+            };
+            let mut seeds: Vec<Coord> = Vec::new();
+            for mv in &outcome.moved {
+                seeds.extend(mv.from);
+                seeds.push(mv.to);
             }
-        }
+            seeds.extend_from_slice(&delta.new_dead_cores);
+            for &(a, b) in &delta.new_failed_links {
+                seeds.push(a);
+                seeds.push(b);
+            }
+            let region = dirty_region(placement.mesh(), &seeds, radius);
+            Ok::<_, CoreError>((outcome, degraded, region))
+        })?;
         let region_cores = region.iter().filter(|&&active| active).count() as u64;
 
         // A degraded placement is incomplete, so the FD pass cannot run;
@@ -539,6 +541,23 @@ impl Mapper {
             sequence_placement(&order, curve, mesh, self.faults.as_ref())
         })
     }
+}
+
+/// The cores within Manhattan distance `radius` of any seed: each seed's
+/// ball, clipped to the mesh, is painted row by row, in O(seeds × radius²).
+fn dirty_region(mesh: Mesh, seeds: &[Coord], radius: u16) -> Vec<bool> {
+    let (rows, cols, r) = (i32::from(mesh.rows()), i32::from(mesh.cols()), i32::from(radius));
+    let mut region = vec![false; mesh.len()];
+    for s in seeds {
+        let (sx, sy) = (i32::from(s.x), i32::from(s.y));
+        for x in (sx - r).max(0)..=(sx + r).min(rows - 1) {
+            let reach = r - (x - sx).abs();
+            let row = x as usize * cols as usize;
+            let (lo, hi) = ((sy - reach).max(0) as usize, (sy + reach).min(cols - 1) as usize);
+            region[row + lo..=row + hi].fill(true);
+        }
+    }
+    region
 }
 
 impl Default for Mapper {
@@ -1250,6 +1269,15 @@ mod tests {
         assert_eq!(ev.energy_after.to_bits(), stats.final_energy.to_bits());
         // The traced repair also carries the region FD telemetry.
         assert!(sink.events().iter().any(|e| e.name() == "fd_done"));
+        // Eviction and the region build are one `repair` phase span,
+        // emitted before the region FD pass starts.
+        let events = sink.events();
+        let is_repair_phase =
+            |e: &TraceEvent| matches!(e, TraceEvent::Phase(p) if p.name == "repair");
+        assert_eq!(events.iter().filter(|e| is_repair_phase(e)).count(), 1);
+        let phase = events.iter().position(is_repair_phase).unwrap();
+        let fd_config = events.iter().position(|e| e.name() == "fd_config").unwrap();
+        assert!(phase < fd_config);
     }
 
     #[test]

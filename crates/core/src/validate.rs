@@ -8,10 +8,15 @@
 //! cores (and places stragglers) onto the nearest healthy free core, so a
 //! previously good placement survives a fault-map update without a full
 //! re-mapping run.
+//!
+//! A repair scans the mesh once, to list the free healthy cores; every
+//! relocation then searches that list, which the repair keeps exact as
+//! clusters take and leave cores. One repair therefore costs
+//! O(mesh + relocations × free cores).
 
 use std::fmt;
 
-use snnmap_hw::{Board, ChipId, Coord, CoreConstraints, FaultMap, HwError, Placement};
+use snnmap_hw::{Board, ChipId, Coord, CoreConstraints, FaultMap, HwError, Mesh, Placement};
 use snnmap_model::Pcn;
 
 use crate::CoreError;
@@ -227,7 +232,8 @@ pub struct RepairOutcome {
 /// the nearest healthy free core (ties broken row-major, so repair is
 /// deterministic), unplaced clusters are placed next to their
 /// heaviest-traffic placed neighbour. Capacity violations are reported
-/// back unrepaired — relocation cannot shrink a cluster.
+/// back unrepaired — relocation cannot shrink a cluster — at the core the
+/// cluster occupies once the repair is done.
 ///
 /// Repair is **transactional** (the moves are staged on a scratch copy
 /// and committed only on success, so an error leaves `placement`
@@ -247,6 +253,7 @@ pub fn repair(
 ) -> Result<RepairOutcome, CoreError> {
     let report = validate(pcn, placement, faults, constraints)?;
     let mut staged = placement.clone();
+    let mut free = FreeCores::new(&staged, faults);
     let mut outcome = RepairOutcome::default();
     for v in report.violations() {
         match *v {
@@ -254,18 +261,29 @@ pub fn repair(
             // but treat it like any dead core if a caller feeds one in.
             Violation::OnDeadCore { cluster, coord }
             | Violation::OnDeadChip { cluster, coord, .. } => {
-                let to = relocate(&mut staged, faults, cluster, coord)?;
+                let to =
+                    free.nearest(coord, |_| true).ok_or_else(|| insufficient(&staged, faults))?;
+                free.relocate(&mut staged, cluster, Some(to))?;
                 outcome.moved.push(RepairMove { cluster, from: Some(coord), to });
             }
             Violation::Unplaced { cluster } => {
                 let anchor = anchor_for(pcn, &staged, cluster);
-                let to = nearest_free_healthy(&staged, faults, anchor).ok_or_else(|| {
-                    insufficient(&staged, faults)
-                })?;
-                staged.place(cluster, to)?;
+                let to =
+                    free.nearest(anchor, |_| true).ok_or_else(|| insufficient(&staged, faults))?;
+                free.relocate(&mut staged, cluster, Some(to))?;
                 outcome.moved.push(RepairMove { cluster, from: None, to });
             }
-            Violation::CapacityExceeded { .. } => outcome.unrepaired.push(*v),
+            // A cluster on a dead core was relocated by its earlier
+            // `OnDeadCore` violation: report the core it occupies now.
+            Violation::CapacityExceeded { cluster, coord, neurons, synapses } => {
+                let coord = staged.coord_of(cluster).unwrap_or(coord);
+                outcome.unrepaired.push(Violation::CapacityExceeded {
+                    cluster,
+                    coord,
+                    neurons,
+                    synapses,
+                });
+            }
         }
     }
     *placement = staged;
@@ -332,6 +350,7 @@ pub fn repair_board(
 ) -> Result<(RepairOutcome, Option<DegradedPlacement>), CoreError> {
     let report = validate_board(pcn, placement, faults, board)?;
     let mut staged = placement.clone();
+    let mut free = FreeCores::new(&staged, faults);
     let mut outcome = RepairOutcome::default();
     let mut unplaced: Vec<u32> = Vec::new();
     // A cluster can carry several violations at once (e.g. dead core and
@@ -352,17 +371,12 @@ pub fn repair_board(
             Violation::OnDeadCore { cluster, coord }
             | Violation::OnDeadChip { cluster, coord, .. }
             | Violation::CapacityExceeded { cluster, coord, .. } => {
-                let neurons = pcn.neurons_in(cluster);
-                let synapses = pcn.synapses_in(cluster);
-                match nearest_free_admitting(&staged, faults, board, coord, neurons, synapses)
-                {
-                    Some(to) => {
-                        staged.unplace(cluster)?;
-                        staged.place(cluster, to)?;
-                        outcome.moved.push(RepairMove { cluster, from: Some(coord), to });
-                    }
+                let (neurons, synapses) = (pcn.neurons_in(cluster), pcn.synapses_in(cluster));
+                let to = free.nearest(coord, |c| board.admits(c, neurons, synapses));
+                free.relocate(&mut staged, cluster, to)?;
+                match to {
+                    Some(to) => outcome.moved.push(RepairMove { cluster, from: Some(coord), to }),
                     None => {
-                        staged.unplace(cluster)?;
                         unplaced.push(cluster);
                         outcome.unrepaired.push(*v);
                     }
@@ -370,12 +384,10 @@ pub fn repair_board(
             }
             Violation::Unplaced { cluster } => {
                 let anchor = anchor_for(pcn, &staged, cluster);
-                let neurons = pcn.neurons_in(cluster);
-                let synapses = pcn.synapses_in(cluster);
-                match nearest_free_admitting(&staged, faults, board, anchor, neurons, synapses)
-                {
+                let (neurons, synapses) = (pcn.neurons_in(cluster), pcn.synapses_in(cluster));
+                match free.nearest(anchor, |c| board.admits(c, neurons, synapses)) {
                     Some(to) => {
-                        staged.place(cluster, to)?;
+                        free.relocate(&mut staged, cluster, Some(to))?;
                         outcome.moved.push(RepairMove { cluster, from: None, to });
                     }
                     None => {
@@ -393,18 +405,10 @@ pub fn repair_board(
         let (demand_neurons, demand_synapses) = unplaced.iter().fold((0u64, 0u64), |(n, s), &c| {
             (n + u64::from(pcn.neurons_in(c)), s + pcn.synapses_in(c))
         });
-        let (spare_neurons, spare_synapses) = board
-            .mesh()
-            .iter()
-            .filter(|&c| {
-                staged.cluster_at(c).is_none()
-                    && !staged.is_masked(c)
-                    && faults.map_or(true, |fm| !fm.is_dead(c))
-            })
-            .fold((0u64, 0u64), |(n, s), c| {
-                let con = board.constraints_at(c);
-                (n + u64::from(con.neurons_per_core), s + con.synapses_per_core)
-            });
+        let (spare_neurons, spare_synapses) = free.cores.iter().fold((0u64, 0u64), |(n, s), &c| {
+            let con = board.constraints_at(c);
+            (n + u64::from(con.neurons_per_core), s + con.synapses_per_core)
+        });
         Some(DegradedPlacement {
             unplaced,
             demand_neurons,
@@ -417,25 +421,64 @@ pub fn repair_board(
     Ok((outcome, degraded))
 }
 
-/// The free healthy core nearest to `anchor` whose capacity vector
-/// admits the cluster (Manhattan distance, then row-major index).
-fn nearest_free_admitting(
-    placement: &Placement,
-    faults: Option<&FaultMap>,
-    board: &Board,
-    anchor: Coord,
-    neurons: u32,
-    synapses: u64,
-) -> Option<Coord> {
-    let mesh = placement.mesh();
-    mesh.iter()
-        .filter(|&c| {
-            placement.cluster_at(c).is_none()
-                && !placement.is_masked(c)
-                && faults.map_or(true, |fm| !fm.is_dead(c))
-                && board.admits(c, neurons, synapses)
-        })
-        .min_by_key(|&c| (c.manhattan(anchor), mesh.index_of(c)))
+/// The cores a repair may move a cluster to: free, unmasked and
+/// healthy. Built with one mesh scan; [`FreeCores::relocate`] keeps it
+/// exact as clusters take and leave cores, so a search costs
+/// O(free cores).
+struct FreeCores<'a> {
+    mesh: Mesh,
+    faults: Option<&'a FaultMap>,
+    /// In no particular order: [`FreeCores::nearest`] breaks every tie.
+    cores: Vec<Coord>,
+}
+
+impl<'a> FreeCores<'a> {
+    fn new(placement: &Placement, faults: Option<&'a FaultMap>) -> Self {
+        let mesh = placement.mesh();
+        let is_free = |c: Coord| placement.cluster_at(c).is_none() && healthy(placement, faults, c);
+        // Counted first, so the list is one allocation of the exact size
+        // rather than a chain of doubling reallocations.
+        let mut cores = Vec::with_capacity(mesh.iter().filter(|&c| is_free(c)).count());
+        cores.extend(mesh.iter().filter(|&c| is_free(c)));
+        FreeCores { mesh, faults, cores }
+    }
+
+    /// The free core nearest to `anchor` among those `admits` accepts
+    /// (Manhattan distance, then row-major index — fully deterministic).
+    fn nearest(&self, anchor: Coord, admits: impl Fn(Coord) -> bool) -> Option<Coord> {
+        self.cores
+            .iter()
+            .copied()
+            .filter(|&c| admits(c))
+            .min_by_key(|&c| (c.manhattan(anchor), self.mesh.index_of(c)))
+    }
+
+    /// Moves `cluster` to the free core `to`, or leaves it unplaced when
+    /// `to` is `None`. The core it leaves becomes free if it is healthy.
+    fn relocate(
+        &mut self,
+        placement: &mut Placement,
+        cluster: u32,
+        to: Option<Coord>,
+    ) -> Result<(), CoreError> {
+        if let Some(from) = placement.coord_of(cluster) {
+            placement.unplace(cluster)?;
+            if healthy(placement, self.faults, from) {
+                self.cores.push(from);
+            }
+        }
+        if let Some(to) = to {
+            placement.place(cluster, to)?;
+            let at = self.cores.iter().position(|&c| c == to);
+            self.cores.swap_remove(at.expect("a repair moves clusters only onto free cores"));
+        }
+        Ok(())
+    }
+}
+
+/// Whether a cluster may sit on core `c`: neither masked nor dead.
+fn healthy(placement: &Placement, faults: Option<&FaultMap>, c: Coord) -> bool {
+    !placement.is_masked(c) && faults.map_or(true, |fm| !fm.is_dead(c))
 }
 
 fn check_compatible(
@@ -463,21 +506,6 @@ fn check_compatible(
     Ok(())
 }
 
-/// Moves `cluster` off the dead core `coord` to the nearest healthy free
-/// core.
-fn relocate(
-    placement: &mut Placement,
-    faults: Option<&FaultMap>,
-    cluster: u32,
-    coord: Coord,
-) -> Result<Coord, CoreError> {
-    let to = nearest_free_healthy(placement, faults, coord)
-        .ok_or_else(|| insufficient(placement, faults))?;
-    placement.unplace(cluster)?;
-    placement.place(cluster, to)?;
-    Ok(to)
-}
-
 /// Where an unplaced cluster would like to be: the core of its
 /// heaviest-traffic placed graph neighbour, or the mesh centre when every
 /// neighbour is itself unplaced.
@@ -499,23 +527,6 @@ fn anchor_for(pcn: &Pcn, placement: &Placement, cluster: u32) -> Coord {
             Coord::new(mesh.rows() / 2, mesh.cols() / 2)
         }
     }
-}
-
-/// The free healthy core nearest to `anchor` (Manhattan distance, then
-/// row-major index — fully deterministic).
-pub(crate) fn nearest_free_healthy(
-    placement: &Placement,
-    faults: Option<&FaultMap>,
-    anchor: Coord,
-) -> Option<Coord> {
-    let mesh = placement.mesh();
-    mesh.iter()
-        .filter(|&c| {
-            placement.cluster_at(c).is_none()
-                && !placement.is_masked(c)
-                && faults.map_or(true, |fm| !fm.is_dead(c))
-        })
-        .min_by_key(|&c| (c.manhattan(anchor), mesh.index_of(c)))
 }
 
 fn insufficient(placement: &Placement, faults: Option<&FaultMap>) -> CoreError {
@@ -600,6 +611,30 @@ mod tests {
         let outcome = repair(&pcn, &mut p, None, Some(&tight)).unwrap();
         assert!(outcome.moved.is_empty());
         assert_eq!(outcome.unrepaired.len(), 2);
+    }
+
+    #[test]
+    fn capacity_violations_report_the_core_a_relocated_cluster_occupies() {
+        let pcn = pcn_with(2, 100, 10);
+        let mesh = Mesh::new(2, 2).unwrap();
+        let mut p = crate::hsc_placement(&pcn, mesh, None, 1).unwrap();
+        let dead = p.coord_of(0).unwrap();
+        let stays = p.coord_of(1).unwrap();
+        let mut fm = FaultMap::new(mesh);
+        fm.kill_core(dead).unwrap();
+        let tight = CoreConstraints::new(50, 1_000).unwrap();
+        let outcome = repair(&pcn, &mut p, Some(&fm), Some(&tight)).unwrap();
+        assert_eq!(outcome.moved.len(), 1);
+        let to = outcome.moved[0].to;
+        assert_ne!(to, dead);
+        assert_eq!(p.coord_of(0), Some(to));
+        let over = |cluster, coord| Violation::CapacityExceeded {
+            cluster,
+            coord,
+            neurons: 100,
+            synapses: 10,
+        };
+        assert_eq!(outcome.unrepaired, [over(0, to), over(1, stays)]);
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! The digests are the equivalence proof for API refactors of the two
 //! placement phases — the Hilbert initial placement (`P_init = Hilbert ∘
 //! Seq`, eq. 17) and FD refinement (Algorithm 3): a change of call syntax
-//! must leave every digest here byte-identical.
+//! must leave every digest here byte-identical. The incremental repair
+//! (eviction to the nearest free core, then FD inside the dirty region)
+//! is pinned the same way, so a faster repair must make the same moves.
 
 use snnmap_core::{
     force_directed, hsc_placement, hsc_placement_board, random_placement, sequence_placement,
-    FdConfig, FdRunOpts, Potential,
+    FdConfig, FdRunOpts, Mapper, Potential, RepairReport, RunBudget,
 };
 use snnmap_curves::ZigZag;
 use snnmap_hw::{Board, Coord, CoreConstraints, FaultMap, Mesh, Placement};
 use snnmap_model::generators::random_pcn;
+use snnmap_model::Pcn;
 use snnmap_trace::{NoopSink, Sha256};
 
 /// sha256 over the mesh shape and every cluster's coordinate (`u16`
@@ -179,4 +182,84 @@ fn fd_region_restricted() {
         }
     }
     assert_eq!(digest(&p), "88c44a89a8bd938e7f35cfa6be700c77cc88415a46295a95bd208071b378a208");
+}
+
+/// Repairs `mapped`, made on healthy hardware, after the faults in
+/// `current`, with the serve daemon's knobs: radius 2, at most 16 sweeps.
+fn repair(
+    mapper: &Mapper,
+    pcn: &Pcn,
+    mapped: &Placement,
+    current: &FaultMap,
+) -> (Placement, RepairReport) {
+    let mut p = mapped.clone();
+    let previous = FaultMap::new(current.mesh());
+    let budget = RunBudget { max_sweeps: Some(16), ..RunBudget::default() };
+    let report = mapper
+        .repair_incremental_traced(pcn, &mut p, &previous, current, 2, budget, &mut NoopSink)
+        .unwrap();
+    (p, report)
+}
+
+#[test]
+fn repair_incremental_on_a_flat_mesh() {
+    let pcn = random_pcn(200, 4.0, 8).unwrap();
+    let mesh = Mesh::new(16, 16).unwrap();
+    let mapper = Mapper::builder().threads(1).build();
+    let mapped = mapper.map(&pcn, mesh).unwrap().placement;
+    // Dead cores under three clusters and on the free corners, plus one
+    // failed link on the mesh edge.
+    let mut current = FaultMap::new(mesh);
+    for c in [0, 57, 133] {
+        current.kill_core(mapped.coord_of(c).unwrap()).unwrap();
+    }
+    for corner in [Coord::new(0, 0), Coord::new(15, 15)] {
+        if mapped.cluster_at(corner).is_none() {
+            current.kill_core(corner).unwrap();
+        }
+    }
+    current.fail_link(Coord::new(0, 7), Coord::new(0, 8)).unwrap();
+    let (p, report) = repair(&mapper, &pcn, &mapped, &current);
+    assert_eq!(report.evicted.len(), 3);
+    assert!(report.degraded.is_none());
+    assert_eq!(digest(&p), "a0ec715d7956abccb0430b42a202e6c5e71ee8c051f8a8e71026a51d9efa06ab");
+}
+
+/// Whole-chip loss on a board whose small cores were tightened after
+/// mapping: the repair evacuates the chip and also moves the clusters
+/// that now overload a live core, freeing that core for later evictions.
+#[test]
+fn repair_incremental_after_a_chip_loss() {
+    let board = tight_board();
+    let pcn = random_pcn(150, 4.0, 4).unwrap();
+    let uniform = Board::parse("2x2/8x8@4096,65536").unwrap();
+    let mapped = Mapper::builder().threads(1).board(uniform).build();
+    let mapped = mapped.map(&pcn, board.mesh()).unwrap().placement;
+    let mut current = FaultMap::new(board.mesh());
+    current.kill_chip(&board, 1).unwrap();
+    let mapper = Mapper::builder().threads(1).board(board).build();
+    let (p, report) = repair(&mapper, &pcn, &mapped, &current);
+    assert!(report.degraded.is_none());
+    assert_eq!(report.evicted.len(), 76);
+    assert_eq!(digest(&p), "d6751fe1e249d4273b50719453cc64ada91d46fdbc2580b882ad7749002a2604");
+}
+
+#[test]
+fn repair_incremental_degrades_when_the_large_clusters_do_not_fit() {
+    let board = tight_board();
+    let pcn = random_pcn(188, 4.0, 4).unwrap();
+    let mut current = FaultMap::new(board.mesh());
+    current.kill_chip(&board, 2).unwrap();
+    let mapper = Mapper::builder().threads(1).board(board.clone()).build();
+    let mapped = mapper.map(&pcn, board.mesh()).unwrap().placement;
+    let (p, report) = repair(&mapper, &pcn, &mapped, &current);
+    assert!(report.fd_stats.is_none());
+    // The free cores left are small ones; the four large stragglers do
+    // not fit them.
+    let degraded = report.degraded.expect("the surviving cores cannot hold the load");
+    assert_eq!(degraded.unplaced, [179, 180, 182, 183]);
+    let d = &degraded;
+    let totals = (d.demand_neurons, d.demand_synapses, d.spare_neurons, d.spare_synapses);
+    assert_eq!(totals, (12576, 154671, 16384, 524288));
+    assert_eq!(digest(&p), "5a171f5da83cf9df9285bdfafb02be5bd6c04a127c4a0c9519754854e98412f5");
 }

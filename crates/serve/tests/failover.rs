@@ -11,6 +11,9 @@
 //! here the dead peer is reproduced by its exact on-disk remains: a
 //! spooled job, a mid-run checkpoint, and a `LEASE` whose heartbeat
 //! stopped long ago.
+//!
+//! Two independent daemons given the same board job and the same
+//! whole-chip loss must also repair it to byte-identical placements.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -19,8 +22,9 @@ use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Duration;
 
-use snnmap_core::{FdRunOpts, Mapper, RunBudget};
-use snnmap_io::{parse_job, render_pcn, render_placement, write_checkpoint};
+use snnmap_core::{validate_board, FdRunOpts, Mapper, RunBudget};
+use snnmap_hw::{Board, FaultMap};
+use snnmap_io::{parse_job, parse_placement, render_pcn, render_placement, write_checkpoint};
 use snnmap_model::generators::random_pcn;
 use snnmap_serve::{ServeConfig, Server};
 use snnmap_trace::{sha256_hex, NoopSink};
@@ -50,11 +54,15 @@ fn json_str(body: &str, key: &str) -> Option<String> {
 }
 
 fn json_u64(body: &str, key: &str) -> Option<u64> {
-    let value: serde_json::Value = serde_json::from_str(body).ok()?;
-    match value.as_object()?.get(key)? {
+    match json_field(body, key)? {
         serde_json::Value::Number(n) => Some(n.as_f64() as u64),
         _ => None,
     }
+}
+
+fn json_field(body: &str, key: &str) -> Option<serde_json::Value> {
+    let value: serde_json::Value = serde_json::from_str(body).ok()?;
+    value.as_object()?.get(key).cloned()
 }
 
 fn wait_done(addr: SocketAddr, id: u64) -> String {
@@ -311,4 +319,54 @@ fn two_live_daemons_share_one_spool_without_collisions_or_takeovers() {
         assert!(attempt < 199, "alpha never adopted beta's finished job {first_beta_job}");
         std::thread::sleep(Duration::from_millis(25));
     }
+}
+
+#[test]
+fn two_daemons_repair_the_same_chip_loss_byte_identically() {
+    const BOARD: &str = "2x2/32x32@4096,65536";
+    let pcn = random_pcn(3000, 4.0, 44).unwrap();
+    let body = serde_json::to_string(&serde_json::json!({
+        "format": "snnmap-job-v1",
+        "pcn": render_pcn(&pcn),
+        "board": BOARD,
+        "max_sweeps": 30,
+    }))
+    .unwrap();
+    let ttl = Duration::from_secs(60);
+    let alpha = Daemon::start(&temp_spool("chip_alpha"), "alpha", ttl);
+    let beta = Daemon::start(&temp_spool("chip_beta"), "beta", ttl);
+
+    let mut placements = Vec::new();
+    for daemon in [&alpha, &beta] {
+        let (status, text) = request(daemon.addr, "POST", "/jobs", &body);
+        assert_eq!(status, 201, "{text}");
+        let id = json_u64(&text, "id").expect("id in response");
+        wait_done(daemon.addr, id);
+
+        // Kill chip 2 of the finished job: the repair is synchronous.
+        let fault = format!("{{\"id\":{id},\"chip\":2}}");
+        let (status, repair) = request(daemon.addr, "POST", "/faults/chip", &fault);
+        assert_eq!(status, 200, "{repair}");
+        assert_eq!(json_field(&repair, "degraded"), Some(serde_json::Value::Null), "{repair}");
+        assert!(json_u64(&repair, "moved").unwrap() > 0, "moved nothing: {repair}");
+
+        let (status, job) = request(daemon.addr, "GET", &format!("/jobs/{id}"), "");
+        assert_eq!(status, 200);
+        let dead_chips = json_field(&job, "dead_chips").expect("dead_chips in status");
+        assert_eq!(serde_json::to_string(&dead_chips).unwrap(), "[2]", "{job}");
+        assert_eq!(metric(daemon.addr, "serve_chip_faults_total"), 1.0);
+
+        let (status, placement) = request(daemon.addr, "GET", &format!("/jobs/{id}/placement"), "");
+        assert_eq!(status, 200);
+        placements.push(placement);
+    }
+    assert!(placements[0] == placements[1], "the two daemons repaired differently");
+
+    // The repaired placement respects capacity and the dead chip.
+    let board = Board::parse(BOARD).unwrap();
+    let mut faults = FaultMap::new(board.mesh());
+    faults.kill_chip(&board, 2).unwrap();
+    let placement = parse_placement(&placements[0]).unwrap();
+    let report = validate_board(&pcn, &placement, Some(&faults), &board).unwrap();
+    assert!(report.is_ok(), "{report}");
 }
