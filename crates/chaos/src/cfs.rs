@@ -105,13 +105,7 @@ pub fn create_dir(fp: &str, path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use crate::test_serial as serial;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("snnmap_chaos_cfs");

@@ -326,17 +326,19 @@ pub fn active_spec() -> Option<(u64, String)> {
     registry().as_ref().map(|c| (c.seed, c.spec.clone()))
 }
 
+/// Serializes every test in the crate that touches the registry. The
+/// registry is process-global, so all test modules must hold this one
+/// lock: per-module locks would let `lib` and `cfs` tests interleave.
+#[cfg(test)]
+pub(crate) fn test_serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_serial as serial;
     use super::*;
-
-    /// The registry is process-global; tests that install schedules must
-    /// not interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn disabled_is_inert() {

@@ -331,6 +331,11 @@ impl fmt::Debug for FdRunOpts<'_> {
 const DOWN: usize = 1;
 const RIGHT: usize = 3;
 
+/// The unit step `(dx, dy)` of each direction, as the distance kernel's
+/// `f64` scalars: a mesh neighbour in direction `d` is exactly an
+/// `OFFSETS[d]` shift.
+const OFFSETS: [(f64, f64); 4] = [(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)];
+
 /// Occupant-table sentinel for an empty core.
 const EMPTY: u32 = u32::MAX;
 
@@ -1043,6 +1048,13 @@ struct Hot {
     sig: u64,
     /// `force[d]`: energy reduction from moving this cluster one step in
     /// direction `d` (eq. 27), maintained incrementally across swaps.
+    ///
+    /// Never `-0.0`: every force starts as a `+0.0` sum, is only ever
+    /// changed by round-to-nearest additions (which cannot produce
+    /// `-0.0` from a `+0.0` or nonzero operand), and a restored table is
+    /// canonicalized. So adding a `±0.0` term never changes a force's
+    /// bits, which is what lets the move-only patch skip the two slots
+    /// across the move axis.
     force: [f64; 4],
 }
 
@@ -1307,8 +1319,10 @@ impl<'a> Engine<'a> {
                 ),
             });
         }
+        // A table this engine wrote holds no -0.0 (see `Hot::force`);
+        // canonicalize a foreign one so the invariant holds on resume.
         for (h, f) in self.hot.iter_mut().zip(forces) {
-            h.force = *f;
+            h.force = f.map(|v| if v == 0.0 { 0.0 } else { v });
         }
         Ok(())
     }
@@ -1472,34 +1486,23 @@ impl<'a> Engine<'a> {
     /// The merged row is walked once with the four directions in the
     /// inner loop (each direction's slot still accumulates its terms in
     /// edge order, so the sums are bit-for-bit those of the
-    /// direction-outer form), which touches every neighbour coordinate
-    /// and `u(·, here)` once instead of four times. Neighbour
-    /// coordinates come straight from the cluster-indexed SoA arrays —
-    /// one gather instead of the old position-table double indirection.
+    /// direction-outer form). Each term is the kernel's step difference
+    /// `u(d) − u(d − o)` at the neighbour's displacement `d`; neighbour
+    /// coordinates come straight from the cluster-indexed SoA arrays.
     fn init_hot<K: PotKernel>(&self, kern: K, c: u32) -> Hot {
         let p = self.pos[c as usize] as usize;
         let hx = self.cx[c as usize];
         let hy = self.cy[c as usize];
+        let valid: [bool; 4] = std::array::from_fn(|d| self.step(p, d).is_some());
         let mut f = [0.0f64; 4];
-        let mut tx = [0.0; 4];
-        let mut ty = [0.0; 4];
-        let mut valid = [false; 4];
-        for d in 0..4 {
-            if let Some(q) = self.step(p, d) {
-                tx[d] = self.mesh_x[q] as f64;
-                ty[d] = self.mesh_y[q] as f64;
-                valid[d] = true;
-            }
-        }
         let mut sig = 0u64;
         for &(k, w) in self.row(c) {
             sig |= sig_bit(k);
-            let px = self.cx[k as usize];
-            let py = self.cy[k as usize];
-            let u_here = kern.u(px - hx, py - hy);
-            for d in 0..4 {
+            let dx = self.cx[k as usize] - hx;
+            let dy = self.cy[k as usize] - hy;
+            for (d, &(ox, oy)) in OFFSETS.iter().enumerate() {
                 if valid[d] {
-                    f[d] += w as f64 * (u_here - kern.u(px - tx[d], py - ty[d]));
+                    f[d] += w as f64 * kern.step_diff(dx, dy, ox, oy);
                 }
             }
         }
@@ -1620,6 +1623,11 @@ impl<'a> Engine<'a> {
     /// every stale one. The caller's placement is deliberately not
     /// touched — see [`Engine::writeback`].
     fn swap(&mut self, key: u64, epoch: u32, pos_stamp: &mut [u32]) {
+        with_kernel!(self.potential, k => self.swap_with(k, key, epoch, pos_stamp))
+    }
+
+    /// [`Engine::swap`] through the potential kernel `kern`.
+    fn swap_with<K: PotKernel>(&mut self, kern: K, key: u64, epoch: u32, pos_stamp: &mut [u32]) {
         let (p, d) = self.decode(key);
         let Some(q) = self.step(p, d) else { return };
         let (px, py) = (self.mesh_x[p] as f64, self.mesh_y[p] as f64);
@@ -1650,15 +1658,11 @@ impl<'a> Engine<'a> {
         // so committing each one right after its pass is equivalent to
         // full rebuilds.
         if cu != EMPTY {
-            let f = with_kernel!(self.potential, k => {
-                self.patch_and_rebuild(k, cu, (px, py), (qx, qy), cv, epoch, pos_stamp)
-            });
+            let f = self.patch_and_rebuild(kern, cu, (qx, qy), d, cv, epoch, pos_stamp);
             self.hot[cu as usize].force = f;
         }
         if cv != EMPTY {
-            let f = with_kernel!(self.potential, k => {
-                self.patch_and_rebuild(k, cv, (qx, qy), (px, py), cu, epoch, pos_stamp)
-            });
+            let f = self.patch_and_rebuild(kern, cv, (px, py), opposite(d), cu, epoch, pos_stamp);
             self.hot[cv as usize].force = f;
         }
 
@@ -1682,45 +1686,44 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// After `moved` relocated `from → to`: adjusts the force of each of
-    /// its graph neighbours by the per-edge delta (skipping `other`, the
-    /// second moved cluster, whose force is rebuilt by its own pass)
-    /// and returns `moved`'s rebuilt force at its new position — one
-    /// merged-CSR pass touching one hot record per neighbour.
+    /// After `moved` took one step in direction `dir` to `to`: adjusts
+    /// the force of each of its graph neighbours by the per-edge delta
+    /// (skipping `other`, the second moved cluster, whose force is
+    /// rebuilt by its own pass) and returns `moved`'s rebuilt force at
+    /// its new position — one merged-CSR pass touching one hot record
+    /// per neighbour.
     ///
     /// Both the patches and the returned force accumulate their terms in
-    /// edge (row) order with unchanged expression trees, so the results
-    /// are bit-for-bit those of separate patch and rebuild passes. All
-    /// coordinate arithmetic runs on `f64` scalars (exact mesh integers,
-    /// so every displacement and bounds test below reproduces the integer
-    /// forms bit-for-bit), monomorphized
-    /// through the potential kernel `kern` — no per-edge enum dispatch.
+    /// edge (row) order, each term the kernel's step difference, so the
+    /// results are bit-for-bit those of separate patch and rebuild
+    /// passes. All coordinate arithmetic runs on `f64` scalars (exact
+    /// mesh integers, so every displacement and bounds test below
+    /// reproduces the integer forms bit-for-bit).
+    ///
+    /// For a [`PotKernel::MOVE_ONLY_PATCH`] kernel a neighbour's delta
+    /// in slot `e` is `w·2⟨o_dir, o_e⟩`: `+2w` in slot `dir`, `−2w` in
+    /// its opposite, and an exact zero across the axis, which is skipped
+    /// (forces never hold `-0.0`, see [`Hot::force`]).
     #[allow(clippy::too_many_arguments)]
     fn patch_and_rebuild<K: PotKernel>(
         &mut self,
         kern: K,
         moved: u32,
-        from: (f64, f64),
         to: (f64, f64),
+        dir: usize,
         other: u32,
         epoch: u32,
         pos_stamp: &mut [u32],
     ) -> [f64; 4] {
         let rows = self.rows as f64;
         let cols = self.cols as f64;
-        // Every kernel evaluation below passes the same displacements
-        // the coordinate-based forms produce — a mesh neighbour in
-        // direction `d` is exactly an `offf[d]` shift — so no
-        // per-direction position lookups are needed.
-        let offf: [(f64, f64); 4] = [(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)];
+        let in_mesh = |x: f64, y: f64| x >= 0.0 && y >= 0.0 && x < rows && y < cols;
         let (tx, ty) = to;
-        let (fx, fy) = from;
-        let mut tvalid = [false; 4];
-        for (d, v) in tvalid.iter_mut().enumerate() {
-            let nx = tx + offf[d].0;
-            let ny = ty + offf[d].1;
-            *v = nx >= 0.0 && ny >= 0.0 && nx < rows && ny < cols;
-        }
+        let (mx, my) = OFFSETS[dir];
+        let (fx, fy) = (tx - mx, ty - my);
+        let back = opposite(dir);
+        let tvalid: [bool; 4] =
+            std::array::from_fn(|d| in_mesh(tx + OFFSETS[d].0, ty + OFFSETS[d].1));
         let mut f = [0.0f64; 4];
         let lo = self.adj_off[moved as usize] as usize;
         let hi = self.adj_off[moved as usize + 1] as usize;
@@ -1731,34 +1734,35 @@ impl<'a> Engine<'a> {
             let ky = self.cy[k as usize];
             // `moved`'s own force term of this edge at the new position
             // (every edge contributes, exactly as a full rebuild would).
-            let ndx = kx - tx;
-            let ndy = ky - ty;
-            let u_here = kern.u(ndx, ndy);
-            for d in 0..4 {
+            let (ndx, ndy) = (kx - tx, ky - ty);
+            for (d, &(ox, oy)) in OFFSETS.iter().enumerate() {
                 if tvalid[d] {
-                    f[d] += w * (u_here - kern.u(ndx - offf[d].0, ndy - offf[d].1));
+                    f[d] += w * kern.step_diff(ndx, ndy, ox, oy);
                 }
             }
             if k == moved || k == other {
                 continue;
             }
-            let (dx, dy) = (tx - kx, ty - ky);
-            let (fdx, fdy) = (fx - kx, fy - ky);
-            let u_to_pk = kern.u(dx, dy);
-            let u_from_pk = kern.u(fdx, fdy);
             let hk = &mut self.hot[k as usize];
-            for (d, &(ox, oy)) in offf.iter().enumerate() {
-                let nx = kx + ox;
-                let ny = ky + oy;
-                if nx < 0.0 || ny < 0.0 || nx >= rows || ny >= cols {
-                    continue;
+            if K::MOVE_ONLY_PATCH {
+                let two_w = w * 2.0;
+                if in_mesh(kx + mx, ky + my) {
+                    hk.force[dir] += two_w;
                 }
+                if in_mesh(kx - mx, ky - my) {
+                    hk.force[back] -= two_w;
+                }
+            } else {
                 // Force term of edge (k, moved) in direction d changed
                 // from the `from` position to the `to` position.
-                let delta = w
-                    * ((u_to_pk - kern.u(dx - ox, dy - oy))
-                        - (u_from_pk - kern.u(fdx - ox, fdy - oy)));
-                hk.force[d] += delta;
+                let (dx, dy) = (tx - kx, ty - ky);
+                let (fdx, fdy) = (fx - kx, fy - ky);
+                for (d, &(ox, oy)) in OFFSETS.iter().enumerate() {
+                    if in_mesh(kx + ox, ky + oy) {
+                        hk.force[d] +=
+                            w * (kern.step_diff(dx, dy, ox, oy) - kern.step_diff(fdx, fdy, ox, oy));
+                    }
+                }
             }
             pos_stamp[self.pos[k as usize] as usize] = epoch;
         }
@@ -1806,6 +1810,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fd::potential::KL2Sq;
     use crate::{hsc_placement, random_placement};
     use snnmap_hw::CostModel;
     use snnmap_metrics::energy;
@@ -1926,6 +1931,92 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `u_c` with the default `step_diff` and the generic patch: the
+    /// two-call reference the closed-form [`KL2Sq`] path must match.
+    #[derive(Clone, Copy)]
+    struct KL2SqGeneric;
+
+    impl PotKernel for KL2SqGeneric {
+        fn u(self, dx: f64, dy: f64) -> f64 {
+            dx * dx + dy * dy
+        }
+    }
+
+    fn l2_engine<'a>(pcn: &'a Pcn, p: &'a mut Placement) -> Engine<'a> {
+        let pot = Potential::L2Squared;
+        Engine::new(pcn, p, pot, TensionMode::Exact, Objective::Energy, None, None, 1).unwrap()
+    }
+
+    fn assert_forces_identical(a: &Engine, b: &Engine, at: &str) {
+        for (c, (ha, hb)) in a.hot.iter().zip(&b.hot).enumerate() {
+            for d in 0..4 {
+                let (fa, fb) = (ha.force[d], hb.force[d]);
+                assert_eq!(fa.to_bits(), fb.to_bits(), "{at}: cluster {c} slot {d}: {fa} vs {fb}");
+                assert!(fa != 0.0 || fa.is_sign_positive(), "{at}: -0.0 force at cluster {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_swaps_match_the_generic_kernel_bitwise() {
+        // 24 clusters on 36 cores: a third of the cells are empty, so the
+        // sequence moves clusters into empty cells as well as swapping
+        // occupied pairs, and a 6×6 mesh puts many pairs on its border.
+        let pcn = random_pcn(24, 3.0, 11).unwrap();
+        let mesh = Mesh::new(6, 6).unwrap();
+        let mut pa = random_placement(&pcn, mesh, 5, None).unwrap();
+        let mut pb = pa.clone();
+        let mut a = l2_engine(&pcn, &mut pa);
+        let mut b = l2_engine(&pcn, &mut pb);
+        for c in 0..b.hot.len() {
+            b.hot[c] = b.init_hot(KL2SqGeneric, c as u32);
+        }
+        assert_forces_identical(&a, &b, "initial build");
+
+        let mut stamp_a = vec![0u32; mesh.len()];
+        let mut stamp_b = vec![0u32; mesh.len()];
+        let (mut moves_into_empty, mut border_pairs) = (0, 0);
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for epoch in 1..=3000u32 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let p = (rng >> 8) as usize % mesh.len();
+            let d = if rng & 1 == 0 { DOWN } else { RIGHT };
+            let Some(key) = a.pair_key(p, d) else { continue };
+            let q = a.step(p, d).unwrap();
+            if (a.occ[p] == EMPTY) != (a.occ[q] == EMPTY) {
+                moves_into_empty += 1;
+            }
+            let on_border = |p: usize| {
+                let (x, y) = (a.mesh_x[p] as usize, a.mesh_y[p] as usize);
+                x == 0 || y == 0 || x + 1 == a.rows || y + 1 == a.cols
+            };
+            if on_border(p) && on_border(q) {
+                border_pairs += 1;
+            }
+            a.swap_with(KL2Sq, key, epoch, &mut stamp_a);
+            b.swap_with(KL2SqGeneric, key, epoch, &mut stamp_b);
+            assert_eq!(a.occ, b.occ);
+            assert_eq!(stamp_a, stamp_b, "swap {epoch}: stamped positions differ");
+            assert_forces_identical(&a, &b, &format!("swap {epoch}"));
+        }
+        assert!(moves_into_empty > 100, "only {moves_into_empty} moves into empty cells");
+        assert!(border_pairs > 100, "only {border_pairs} border pairs");
+    }
+
+    #[test]
+    fn restored_negative_zero_forces_are_canonicalized() {
+        let pcn = random_pcn(4, 2.0, 3).unwrap();
+        let mut p = random_placement(&pcn, Mesh::new(2, 2).unwrap(), 1, None).unwrap();
+        let mut engine = l2_engine(&pcn, &mut p);
+        engine.restore_forces(&[[-0.0, 0.0, -1.5, 2.0]; 4]).unwrap();
+        for h in &engine.hot {
+            let bits = h.force.map(f64::to_bits);
+            assert_eq!(bits, [0.0, 0.0, -1.5, 2.0].map(f64::to_bits));
         }
     }
 

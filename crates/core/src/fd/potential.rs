@@ -1,10 +1,11 @@
 //! Potential-energy field shapes (§4.4.2, eqs. 19–21 and 25) and their
 //! monomorphized distance kernels.
 //!
-//! The FD engine's hot loops (initial force build, system-energy
-//! reduction, force patching) evaluate the potential once per graph edge.
-//! Two layers keep that evaluation SIMD-friendly without changing a
-//! single result bit:
+//! The FD engine keeps every cluster's four directed forces (eq. 27)
+//! current across swaps. Each force term is a *step difference*
+//! `u(d) − u(d − o)`: the energy an edge of displacement `d` loses when
+//! its endpoint takes the unit step `o`. The kernels below make that
+//! difference cheap without changing a single result bit:
 //!
 //! * **Branch-free float arithmetic** — [`Potential::value`] computes
 //!   `|dx| + |dy|` and `dx² + dy²` on `f64` scalars with `abs`, multiply
@@ -12,12 +13,22 @@
 //!   Coordinates are mesh indices (`< 2¹⁶`), so every operation below is
 //!   exact and bit-identical to the integer arithmetic it replaced — the
 //!   provenance digests hold.
+//! * **Closed-form step differences** — [`PotKernel::step_diff`] defaults
+//!   to the two-call expression `u(d) − u(d − o)`. For the paper's `u_c`
+//!   (eq. 21) it is `2⟨d, o⟩ − 1`, the same exact integer, so
+//!   [`KL2Sq`] overrides it with no kernel call at all.
+//! * **Move-only patches** — for `u_c` the change a swap makes to a
+//!   neighbour's force, `step_diff(to − k, o) − step_diff(from − k, o)`,
+//!   is `2⟨to − from, o⟩`: it depends on the move alone. Kernels with
+//!   [`PotKernel::MOVE_ONLY_PATCH`] let the engine patch each neighbour
+//!   with `±2w` in the two slots along the move axis and skip the two
+//!   across it. The other kernels keep the generic per-edge patch.
 //! * **Kernel monomorphization** — the [`with_kernel!`] macro dispatches
 //!   the `Potential` enum **once per loop** (per energy block, per
-//!   cluster rebuild, per swap patch) to a zero-sized kernel type whose
-//!   `u` inlines with no per-edge match. [`Potential::value`] evaluates
-//!   the same kernels, so the hot loops and the scalar API agree bit for
-//!   bit (and the provenance digests are unchanged).
+//!   cluster rebuild, per swap) to a zero-sized kernel type whose
+//!   methods inline with no per-edge match. [`Potential::value`]
+//!   evaluates the same kernels, so the hot loops and the scalar API
+//!   agree bit for bit (and the provenance digests are unchanged).
 
 use snnmap_hw::CostModel;
 
@@ -103,9 +114,24 @@ impl Default for Potential {
 /// generic over `K: PotKernel` compiles to straight-line float code with
 /// no per-edge enum match. Dispatch with [`with_kernel!`].
 pub(crate) trait PotKernel: Copy + Send + Sync {
+    /// Whether a swap's force patch at a graph neighbour depends only on
+    /// the move: `step_diff(to − k, o) − step_diff(from − k, o)` equals
+    /// `2⟨to − from, o⟩` bit for bit at every neighbour `k` and unit step
+    /// `o`. True only where `step_diff` is exactly affine in the
+    /// displacement with slope `2o` on mesh integers.
+    const MOVE_ONLY_PATCH: bool = false;
+
     /// Potential at float displacement `(dx, dy)`; exact for integer
     /// displacements (see [`Potential::value`]).
     fn u(self, dx: f64, dy: f64) -> f64;
+
+    /// `u(d) − u(d − o)` for displacement `d = (dx, dy)` and unit step
+    /// `o = (ox, oy)`. An override must return the same bits as this
+    /// default for every mesh displacement.
+    #[inline(always)]
+    fn step_diff(self, dx: f64, dy: f64, ox: f64, oy: f64) -> f64 {
+        self.u(dx, dy) - self.u(dx - ox, dy - oy)
+    }
 }
 
 /// [`Potential::L1`] kernel.
@@ -140,9 +166,18 @@ impl PotKernel for KL1Sq {
 }
 
 impl PotKernel for KL2Sq {
+    const MOVE_ONLY_PATCH: bool = true;
+
     #[inline(always)]
     fn u(self, dx: f64, dy: f64) -> f64 {
         dx * dx + dy * dy
+    }
+
+    /// `|d|² − |d − o|² = 2⟨d, o⟩ − |o|²`, with `|o|² = 1`. On mesh
+    /// integers both sides are the same odd integer, exact in `f64`.
+    #[inline(always)]
+    fn step_diff(self, dx: f64, dy: f64, ox: f64, oy: f64) -> f64 {
+        2.0 * (dx * ox + dy * oy) - 1.0
     }
 }
 
@@ -238,16 +273,8 @@ mod tests {
         // The guarantee the digest-compat contract rests on: the float
         // kernel reproduces the integer arithmetic bit for bit over the
         // whole mesh-displacement range.
-        let pots = [
-            Potential::L1,
-            Potential::L1Squared,
-            Potential::L2Squared,
-            Potential::EnergyModel { en_r: 20.0, en_w: 2.4 },
-        ];
-        for p in pots {
-            for (dx, dy) in
-                [(0, 0), (1, 0), (-3, 7), (255, -255), (1023, 1), (-65535, 65535)]
-            {
+        for p in ALL {
+            for (dx, dy) in DISPLACEMENTS {
                 let exact = reference_value(p, dx, dy);
                 let got = p.value(dx, dy);
                 assert_eq!(
@@ -256,6 +283,84 @@ mod tests {
                     "{p:?} at ({dx},{dy}): {got} vs {exact}"
                 );
             }
+        }
+    }
+
+    /// Mesh displacements from the origin to the ±65535 extreme.
+    const DISPLACEMENTS: [(i32, i32); 6] =
+        [(0, 0), (1, 0), (-3, 7), (255, -255), (1023, 1), (-65535, 65535)];
+
+    /// The four unit steps in the engine's `[UP, DOWN, LEFT, RIGHT]` order.
+    const STEPS: [(f64, f64); 4] = [(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)];
+
+    const ALL: [Potential; 4] = [
+        Potential::L1,
+        Potential::L1Squared,
+        Potential::L2Squared,
+        Potential::EnergyModel { en_r: 20.0, en_w: 2.4 },
+    ];
+
+    /// Every displacement of [`DISPLACEMENTS`] in all four sign quadrants.
+    fn displacements() -> impl Iterator<Item = (f64, f64)> {
+        DISPLACEMENTS.into_iter().flat_map(|(dx, dy)| {
+            let (dx, dy) = (f64::from(dx), f64::from(dy));
+            [(dx, dy), (-dx, dy), (dx, -dy), (-dx, -dy)]
+        })
+    }
+
+    fn assert_step_diff_bitwise<K: PotKernel>(k: K, p: Potential) {
+        for (dx, dy) in displacements() {
+            for (ox, oy) in STEPS {
+                let want = k.u(dx, dy) - k.u(dx - ox, dy - oy);
+                let got = k.step_diff(dx, dy, ox, oy);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{p:?} at ({dx},{dy}) step ({ox},{oy}): {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn step_diff_matches_two_potential_calls_bitwise() {
+        for p in ALL {
+            with_kernel!(p, k => assert_step_diff_bitwise(k, p));
+        }
+    }
+
+    fn assert_move_only_patch<K: PotKernel>(k: K, p: Potential) {
+        if !K::MOVE_ONLY_PATCH {
+            return;
+        }
+        // `from − k` runs over the displacement range; `to = from + m`.
+        for (fx, fy) in displacements() {
+            for (mx, my) in STEPS {
+                let (tx, ty) = (fx + mx, fy + my);
+                for (ox, oy) in STEPS {
+                    let generic = k.step_diff(tx, ty, ox, oy) - k.step_diff(fx, fy, ox, oy);
+                    let reference = (k.u(tx, ty) - k.u(tx - ox, ty - oy))
+                        - (k.u(fx, fy) - k.u(fx - ox, fy - oy));
+                    assert_eq!(generic.to_bits(), reference.to_bits(), "{p:?}");
+                    if mx * ox + my * oy == 0.0 {
+                        // Across the move axis: an exact +0.0, which the
+                        // engine may skip adding (it never holds -0.0).
+                        assert_eq!(reference.to_bits(), 0.0f64.to_bits(), "{p:?}");
+                    } else {
+                        let along = 2.0 * (mx * ox + my * oy);
+                        assert_eq!(reference.to_bits(), along.to_bits(), "{p:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn move_only_patch_reduces_to_twice_the_move() {
+        // The property is checked for real on at least one kernel.
+        const _: () = assert!(KL2Sq::MOVE_ONLY_PATCH);
+        for p in ALL {
+            with_kernel!(p, k => assert_move_only_patch(k, p));
         }
     }
 

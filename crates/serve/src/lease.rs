@@ -11,18 +11,20 @@
 //!
 //! The protocol, each step anchored to one atomic filesystem primitive:
 //!
-//! * **Acquire** — `O_CREAT|O_EXCL` (`create_new`): exactly one daemon
-//!   creates the file; everyone else sees `AlreadyExists`.
+//! * **Acquire** — the record is written to a private temp file, then
+//!   hard-linked to `LEASE`: like `O_CREAT|O_EXCL`, exactly one daemon
+//!   creates the name and everyone else sees `AlreadyExists`, but no
+//!   peer can ever read a `LEASE` that exists without its content.
 //! * **Heartbeat** — temp + `rename` over `LEASE`: readers see the old
 //!   record or the new one, never a torn timestamp.
 //! * **Expire** — a lease whose heartbeat is older than the TTL marks a
-//!   dead owner. An unparseable or empty `LEASE` (a crash between
-//!   `create_new` and the first write) reads as heartbeat 0 — expired
-//!   from birth, claimable by anyone.
+//!   dead owner. An unparseable or empty `LEASE` (a damaged spool, or
+//!   one written by a daemon that created the file before writing it)
+//!   reads as heartbeat 0 — expired from birth, claimable by anyone.
 //! * **Steal** — `rename(LEASE, LEASE.stale)` first: of N daemons
 //!   racing to take over, exactly one rename succeeds (the others get
-//!   `NotFound`), and the winner re-enters the ordinary `create_new`
-//!   acquire, which stays the sole ownership arbiter.
+//!   `NotFound`), and the winner re-enters the ordinary acquire, whose
+//!   link stays the sole ownership arbiter.
 //!
 //! The worst interleaving — two daemons both believing they own a job
 //! for one heartbeat interval — is *benign* here: mapping is
@@ -34,6 +36,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 const FORMAT: &str = "snnmap-lease-v1";
@@ -83,7 +86,7 @@ fn render(owner: &str) -> String {
 /// expired lease (owner `""`, heartbeat 0) rather than `None`, so it is
 /// stolen through the same rename arbitration instead of being treated
 /// as free (two daemons treating garbage as free would both
-/// `create_new`-fail and deadlock on it).
+/// fail to link and deadlock on it).
 pub(crate) fn read(job_dir: &Path) -> Option<LeaseInfo> {
     let text = fs::read_to_string(lease_path(job_dir)).ok()?;
     Some(parse(&text).unwrap_or(LeaseInfo { owner: String::new(), heartbeat_ms: 0 }))
@@ -101,22 +104,27 @@ fn parse(text: &str) -> Option<LeaseInfo> {
 
 /// Tries to create the lease. `Ok(true)` = we own it now; `Ok(false)` =
 /// someone else holds it.
+///
+/// Create-then-write would expose an empty `LEASE` between the two
+/// steps, which a racing stealer reads as expired and steals from under
+/// its creator; linking a fully written temp file into place leaves no
+/// such window. The temp name is unique per process and call, and ends
+/// in `.tmp` so a crash's leftover is swept at bind.
 pub(crate) fn try_acquire(job_dir: &Path, owner: &str) -> io::Result<bool> {
-    use std::io::Write as _;
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     if snnmap_chaos::check("lease.acquire").is_some() {
         return Err(io::Error::other("injected lease-acquire failure"));
     }
-    let mut file = match fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(lease_path(job_dir))
-    {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => return Ok(false),
-        Err(e) => return Err(e),
-    };
-    file.write_all(render(owner).as_bytes())?;
-    Ok(true)
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = job_dir.join(format!("LEASE.{}-{seq}.tmp", std::process::id()));
+    fs::write(&tmp, render(owner))?;
+    let linked = fs::hard_link(&tmp, lease_path(job_dir));
+    let _ = fs::remove_file(&tmp);
+    match linked {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 /// Refreshes our heartbeat. `Ok(false)` means the lease is no longer
@@ -153,7 +161,7 @@ pub(crate) fn acquire_or_steal(
         return Ok(Acquire::Acquired);
     }
     let Some(info) = read(job_dir) else {
-        // Released between our create_new and read; next pass gets it.
+        // Released between our acquire and read; next pass gets it.
         return Ok(Acquire::Held);
     };
     if info.owner == owner {
@@ -182,7 +190,7 @@ pub(crate) fn acquire_or_steal(
     if try_acquire(job_dir, owner)? {
         Ok(Acquire::Stolen { from: info.owner })
     } else {
-        // A third daemon slipped its create_new in first; it owns it.
+        // A third daemon slipped its acquire in first; it owns it.
         Ok(Acquire::Held)
     }
 }
@@ -259,7 +267,8 @@ mod tests {
     #[test]
     fn empty_lease_from_a_crashed_create_is_claimable() {
         let dir = temp_dir("empty");
-        // A crash between create_new and the first write leaves this.
+        // A damaged spool, or a daemon that created the file before
+        // writing it, leaves this.
         fs::write(lease_path(&dir), "").unwrap();
         assert_eq!(
             acquire_or_steal(&dir, "b", Duration::from_secs(1)).unwrap(),
@@ -273,7 +282,10 @@ mod tests {
         assert!(try_acquire(&dir, "dead").unwrap());
         // Force expiry without sleeping: rewrite with heartbeat 0.
         fs::write(lease_path(&dir), format!("{FORMAT}\nowner dead\nheartbeat_ms 0\n")).unwrap();
-        let ttl = Duration::from_millis(1);
+        // A TTL far longer than the test: the winner's fresh lease must
+        // not expire while the losers are still racing, so the test checks
+        // the steal election and not timing.
+        let ttl = Duration::from_secs(60);
         let winners: Vec<String> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|i| {
