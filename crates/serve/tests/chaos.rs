@@ -13,7 +13,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -55,6 +55,16 @@ struct Daemon {
 
 impl Daemon {
     fn start(tag: &str, configure: impl FnOnce(&mut ServeConfig)) -> Self {
+        Self::start_bound(tag, configure, |_| {})
+    }
+
+    /// [`Daemon::start`], running `after_bind` on the spool between bind
+    /// (which sweeps stray `*.tmp` files) and the workers' start.
+    fn start_bound(
+        tag: &str,
+        configure: impl FnOnce(&mut ServeConfig),
+        after_bind: impl FnOnce(&Path),
+    ) -> Self {
         let spool = std::env::temp_dir().join(format!("snnmap_serve_chaos_{tag}"));
         let _ = std::fs::remove_dir_all(&spool);
         let mut config = ServeConfig {
@@ -66,6 +76,7 @@ impl Daemon {
         };
         configure(&mut config);
         let server = Server::bind(&config).expect("bind");
+        after_bind(&config.spool_dir);
         let addr = server.local_addr().expect("local addr");
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
@@ -369,21 +380,60 @@ fn injected_mid_body_disconnects_never_corrupt_the_spool() {
 // Backpressure headers
 // ---------------------------------------------------------------------
 
+/// A named pipe nobody reads yet: a worker that opens it for writing
+/// blocks until the test releases it.
+#[cfg(unix)]
+struct HeldPipe(PathBuf);
+
+#[cfg(unix)]
+impl HeldPipe {
+    fn new(path: PathBuf) -> Self {
+        let made = std::process::Command::new("mkfifo").arg(&path).status().expect("mkfifo");
+        assert!(made.success(), "mkfifo {path:?}");
+        Self(path)
+    }
+}
+
+#[cfg(unix)]
+impl Drop for HeldPipe {
+    /// Opens and drains the read end on a helper thread, so the blocked
+    /// writer finishes (and a panicking test still tears down). The
+    /// thread is not joined: if a failed test never let the worker reach
+    /// the pipe, its open would wait forever.
+    fn drop(&mut self) {
+        let path = self.0.clone();
+        std::thread::spawn(move || std::fs::read(path));
+    }
+}
+
+#[cfg(unix)]
 #[test]
 fn queue_pressure_gets_429_with_a_retry_after_hint() {
     let _guard = chaos(0, "");
-    let daemon = Daemon::start("backpressure", |c| {
-        c.workers = 1;
-        c.queue_capacity = 1;
-    });
-
-    // Jam the lone worker with a big job, then fill the queue of one.
-    let (status, _) = request(daemon.addr, "POST", "/jobs", &job_body(800, 7, 0));
-    assert_eq!(status, 201);
+    // Jam the lone worker with a job the test holds. Job 1 is spooled
+    // before bind, and after bind its checkpoint temp file becomes a
+    // named pipe: the worker's first checkpoint write blocks until the
+    // pipe is released, however small the job and however fast FD runs.
+    let mut pipe = None;
+    let daemon = Daemon::start_bound(
+        "backpressure",
+        |c| {
+            c.workers = 1;
+            c.queue_capacity = 1;
+            let job = c.spool_dir.join("job-1");
+            std::fs::create_dir_all(&job).unwrap();
+            std::fs::write(job.join("request.json"), job_body(20, 7, 1)).unwrap();
+            std::fs::write(job.join("state"), "queued\n").unwrap();
+        },
+        |spool| pipe = Some(HeldPipe::new(spool.join("job-1").join("checkpoint.json.tmp"))),
+    );
+    // Dropped before `daemon`, so the worker is free again before the drain.
+    let _held = pipe;
     wait_state(daemon.addr, 1, "running");
+
+    // The queue of one fills; the next submission is turned away.
     let (status, _) = request(daemon.addr, "POST", "/jobs", &job_body(20, 8, 0));
     assert_eq!(status, 201);
-
     let text = request_raw(daemon.addr, "POST", "/jobs", &job_body(20, 9, 0));
     assert!(text.starts_with("HTTP/1.1 429"), "{text}");
     assert!(
@@ -391,9 +441,9 @@ fn queue_pressure_gets_429_with_a_retry_after_hint() {
         "429 must carry the Retry-After hint:\n{text}"
     );
 
-    // Unjam so teardown is quick (409 = it beat us to the finish line).
+    // Cancel the held job; it stops once the pipe is released.
     let (status, _) = request(daemon.addr, "DELETE", "/jobs/1", "");
-    assert!(status == 202 || status == 409, "unexpected DELETE status {status}");
+    assert_eq!(status, 202);
 }
 
 // ---------------------------------------------------------------------
