@@ -282,7 +282,7 @@ mod tests {
         let out = run(&sv(&[
             "map", pcn_s, "--out", composite.to_str().unwrap(), "--mesh", "6x6",
             "--objective", "composite", "--lambda-congestion", "2.0",
-            "--lambda-latency", "0.1", "--sim-in-loop", "4",
+            "--lambda-latency", "0.1", "--sim-in-loop", "4", "--max-sweeps", "20",
         ]))
         .unwrap();
         assert!(out.contains("objective: composite (lc=2, lt=0.1)"), "{out}");
@@ -307,12 +307,14 @@ mod tests {
             assert_eq!(err.exit_code(), 2, "{bad:?}");
         }
 
-        // Composite refinement is deterministic: repeat runs agree.
+        // Composite refinement is deterministic: a repeat run on two
+        // threads writes the same bytes, and `eval` accepts them.
         let repeat = dir.join("composite2.json");
         run(&sv(&[
             "map", pcn_s, "--out", repeat.to_str().unwrap(), "--mesh", "6x6",
             "--objective", "composite", "--lambda-congestion", "2.0",
-            "--lambda-latency", "0.1", "--sim-in-loop", "4",
+            "--lambda-latency", "0.1", "--sim-in-loop", "4", "--max-sweeps", "20",
+            "--threads", "2",
         ]))
         .unwrap();
         assert_eq!(
@@ -320,6 +322,8 @@ mod tests {
             std::fs::read_to_string(&repeat).unwrap(),
             "composite + sim-in-loop runs must be reproducible"
         );
+        let report = run(&sv(&["eval", pcn_s, repeat.to_str().unwrap()])).unwrap();
+        assert!(report.contains("energy"), "{report}");
     }
 
     #[test]
@@ -631,12 +635,20 @@ mod tests {
         );
 
         // Converting back lands on the original bytes (both renderers
-        // canonicalize, and `gen` wrote canonical text already).
-        run(&sv(&["convert", binary_s, "--out", back.to_str().unwrap()])).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&text).unwrap(),
-            std::fs::read_to_string(&back).unwrap()
-        );
+        // canonicalize, and `gen` wrote canonical text already), at a few
+        // thousand clusters too.
+        let (big, big_binary) = (dir.join("big.pcn"), dir.join("big.pcnb"));
+        let (big_s, big_binary_s) = (big.to_str().unwrap(), big_binary.to_str().unwrap());
+        run(&sv(&["gen", "--random", "4000,4", "--seed", "42", "--out", big_s])).unwrap();
+        run(&sv(&["convert", big_s, "--out", big_binary_s])).unwrap();
+        for (original, binary) in [(text_s, binary_s), (big_s, big_binary_s)] {
+            run(&sv(&["convert", binary, "--out", back.to_str().unwrap()])).unwrap();
+            assert_eq!(
+                std::fs::read_to_string(original).unwrap(),
+                std::fs::read_to_string(&back).unwrap(),
+                "{original}"
+            );
+        }
 
         // A truncated binary is a typed runtime error, not a panic.
         let bytes = std::fs::read(&binary).unwrap();

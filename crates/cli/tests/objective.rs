@@ -23,30 +23,3 @@ fn explicit_energy_objective_writes_the_default_placement_bytes() {
     assert!(!plain.is_empty());
     assert!(plain == energy, "--objective energy changed the placement bytes");
 }
-
-/// The composite objective with sim-in-the-loop reweighting, on two
-/// threads under a sweep cap, writes a placement `eval` accepts — and the
-/// same bytes on one thread.
-#[test]
-fn composite_objective_map_evaluates_and_is_thread_count_invariant() {
-    let dir = std::env::temp_dir().join("snnmap_cli_objective_composite");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
-    let run = |args: &[&str]| {
-        snnmap_cli::run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
-    };
-    let pcn = path("app.pcn");
-    run(&["gen", "--random", "400,4", "--seed", "42", "--out", &pcn]);
-    let map = |out: &str, threads: &str| {
-        run(&[
-            "map", &pcn, "--out", out, "--mesh", "20x20", "--threads", threads,
-            "--objective", "composite", "--lambda-congestion", "2.0", "--sim-in-loop", "4",
-            "--max-sweeps", "20",
-        ]);
-        std::fs::read(out).unwrap()
-    };
-    let dual = map(&path("composite_t2.json"), "2");
-    assert!(dual == map(&path("composite_t1.json"), "1"), "threads changed the placement");
-    let report = run(&["eval", &pcn, &path("composite_t2.json")]);
-    assert!(report.contains("energy"), "{report}");
-}
