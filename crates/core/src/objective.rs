@@ -32,7 +32,7 @@
 //!    thread count.
 
 use snnmap_hw::Mesh;
-use snnmap_metrics::expectation_grid;
+use snnmap_metrics::for_each_route_expe;
 use snnmap_model::Pcn;
 
 use crate::error::CoreError;
@@ -45,8 +45,9 @@ pub const CONGESTION_SCALE: f64 = (1u64 << 20) as f64;
 
 /// Gain of the sim-in-the-loop reweight: the hottest router's congestion
 /// cost is multiplied by `1 + REWEIGHT_GAIN`, cold routers stay at 1.
-/// Chosen empirically on the Table 3 workloads (see
-/// `results/BENCH_pareto.json`): large enough that hot-spot avoidance
+/// Chosen empirically on the Table 3 workloads (see EXPERIMENTS.md's
+/// energy-vs-congestion Pareto front, pinned by the `pareto_*` tests in
+/// `crates/bench/tests/digests.rs`): large enough that hot-spot avoidance
 /// beats the uniform-cost tie with plain energy descent, small enough
 /// that energy regression stays bounded.
 pub const REWEIGHT_GAIN: f64 = 4.0;
@@ -220,30 +221,13 @@ impl IncrementalCongestion {
     }
 
     fn apply(&mut self, s: (u16, u16), t: (u16, u16), weight: f64, sign: i64) {
-        let dx = s.0.abs_diff(t.0) as usize;
-        let dy = s.1.abs_diff(t.1) as usize;
-        let grid = expectation_grid(dx, dy);
-        let gcols = dy + 1;
-        let x0 = s.0.min(t.0) as usize;
-        let y0 = s.1.min(t.1) as usize;
-        // Mirror CongestionAccumulator::spread: the normalized grid walks
-        // (0,0) -> (dx,dy); map back to the quadrant the edge occupies.
-        let flip_x = t.0 < s.0;
-        let flip_y = t.1 < s.1;
-        for i in 0..=dx {
-            let x = if flip_x { x0 + dx - i } else { x0 + i };
-            for j in 0..=dy {
-                let v = grid[i * gcols + j];
-                if v == 0.0 {
-                    continue;
-                }
-                let y = if flip_y { y0 + dy - j } else { y0 + j };
-                // The quantization is a pure function of (w, v): add and
-                // remove of the same edge cancel exactly.
-                let q = (weight * v * CONGESTION_SCALE).round() as i64;
-                self.map[x * self.cols + y] += sign * q;
-            }
-        }
+        let cols = self.cols;
+        for_each_route_expe(s.into(), t.into(), |x, y, v| {
+            // The quantization is a pure function of (w, v): add and
+            // remove of the same edge cancel exactly.
+            let q = (weight * v * CONGESTION_SCALE).round() as i64;
+            self.map[x * cols + y] += sign * q;
+        });
     }
 
     /// The raw fixed-point map, row-major (`2^20` units of expected
@@ -325,29 +309,12 @@ impl ObjectiveState {
     /// exactly the expected router count, `manhattan + 1`, computed in
     /// O(1).
     fn rect_cost(&self, s: (u16, u16), t: (u16, u16)) -> f64 {
-        let dx = s.0.abs_diff(t.0) as usize;
-        let dy = s.1.abs_diff(t.1) as usize;
         let Some(wf) = &self.weight else {
-            return (dx + dy + 1) as f64;
+            return (s.0.abs_diff(t.0) as usize + s.1.abs_diff(t.1) as usize + 1) as f64;
         };
-        let grid = expectation_grid(dx, dy);
-        let gcols = dy + 1;
-        let x0 = s.0.min(t.0) as usize;
-        let y0 = s.1.min(t.1) as usize;
-        let flip_x = t.0 < s.0;
-        let flip_y = t.1 < s.1;
+        let cols = self.cong.cols;
         let mut acc = 0.0;
-        for i in 0..=dx {
-            let x = if flip_x { x0 + dx - i } else { x0 + i };
-            for j in 0..=dy {
-                let v = grid[i * gcols + j];
-                if v == 0.0 {
-                    continue;
-                }
-                let y = if flip_y { y0 + dy - j } else { y0 + j };
-                acc += wf[x * self.cong.cols + y] * v;
-            }
-        }
+        for_each_route_expe(s.into(), t.into(), |x, y, v| acc += wf[x * cols + y] * v);
         acc
     }
 
@@ -528,7 +495,71 @@ fn visit_swap_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use snnmap_metrics::expectation_grid;
     use snnmap_model::PcnBuilder;
+
+    /// Calls `f(x, y, v)` over an edge's materialized Algorithm 4 grid,
+    /// mirrored into the edge's quadrant: how `rect_cost` and
+    /// `IncrementalCongestion::apply` walked a route before they
+    /// streamed the grid.
+    fn oracle_walk(s: (u16, u16), t: (u16, u16), mut f: impl FnMut(usize, usize, f64)) {
+        let dx = s.0.abs_diff(t.0) as usize;
+        let dy = s.1.abs_diff(t.1) as usize;
+        let grid = expectation_grid(dx, dy);
+        let (x0, y0) = (s.0.min(t.0) as usize, s.1.min(t.1) as usize);
+        for i in 0..=dx {
+            let x = if t.0 < s.0 { x0 + dx - i } else { x0 + i };
+            for j in 0..=dy {
+                let v = grid[i * (dy + 1) + j];
+                if v != 0.0 {
+                    f(x, if t.1 < s.1 { y0 + dy - j } else { y0 + j }, v);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `IncrementalCongestion::build` and the heat-weighted
+        /// `rect_cost` bit-equal the grid-materializing oracles.
+        #[test]
+        fn streamed_congestion_terms_bit_equal_the_grid_oracles(
+            edges in prop::collection::vec((0u32..24, 0u32..24, 0.1f32..10.0), 1..60),
+            coords in prop::collection::vec((0u16..10, 0u16..10), 24),
+            heat in prop::collection::vec(1u64..1000, 100),
+        ) {
+            let mut b = PcnBuilder::new();
+            for _ in 0..24 {
+                b.add_cluster(1, 1);
+            }
+            for &(f, t, w) in &edges {
+                b.add_edge(f, t, w).unwrap();
+            }
+            let pcn = b.build().unwrap();
+            let inc = IncrementalCongestion::build(&pcn, &coords, 10, 10);
+            let mut want = vec![0i64; 100];
+            for (f, t, w) in pcn.iter_edges() {
+                let w = f64::from(w);
+                oracle_walk(coords[f as usize], coords[t as usize], |x, y, v| {
+                    want[x * 10 + y] += (w * v * CONGESTION_SCALE).round() as i64;
+                });
+            }
+            prop_assert_eq!(inc.map(), &want[..]);
+
+            let objective = Objective::Congestion { lambda_c: 1.0 };
+            let mut st = ObjectiveState::new(objective, &pcn, &coords, 10, 10, None);
+            st.apply_reweight(&heat);
+            let wf = st.weight.clone().expect("nonzero heat installs a field");
+            for (f, t, _) in pcn.iter_edges() {
+                let (s, t) = (coords[f as usize], coords[t as usize]);
+                let mut cost = 0.0;
+                oracle_walk(s, t, |x, y, v| cost += wf[x * 10 + y] * v);
+                prop_assert_eq!(st.rect_cost(s, t).to_bits(), cost.to_bits());
+            }
+        }
+    }
 
     fn chain_pcn(n: u32) -> Pcn {
         let mut b = PcnBuilder::new();

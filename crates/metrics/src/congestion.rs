@@ -6,7 +6,7 @@ use rand_chacha::ChaCha8Rng;
 use snnmap_hw::{Coord, HwError, Mesh, Placement};
 use snnmap_model::Pcn;
 
-use crate::expe::expectation_grid;
+use crate::expe::for_each_route_expe;
 
 /// Summary of a congestion map: the average over all routers (`M_ac`,
 /// eq. 12) and the maximum (`M_mc`, eq. 14).
@@ -89,27 +89,8 @@ impl CongestionAccumulator {
     }
 
     fn spread(&mut self, s: Coord, t: Coord, weight: f64) {
-        let dx = s.x.abs_diff(t.x) as usize;
-        let dy = s.y.abs_diff(t.y) as usize;
-        let grid = expectation_grid(dx, dy);
-        let cols = dy + 1;
-        let x0 = s.x.min(t.x);
-        let y0 = s.y.min(t.y);
-        // The normalized grid walks (0,0) -> (dx,dy); map back to the
-        // quadrant the edge actually occupies.
-        let flip_x = t.x < s.x;
-        let flip_y = t.y < s.y;
-        for i in 0..=dx {
-            let x = if flip_x { x0 as usize + dx - i } else { x0 as usize + i };
-            for j in 0..=dy {
-                let v = grid[i * cols + j];
-                if v == 0.0 {
-                    continue;
-                }
-                let y = if flip_y { y0 as usize + dy - j } else { y0 as usize + j };
-                self.map[x * self.mesh.cols() as usize + y] += weight * v;
-            }
-        }
+        let cols = self.mesh.cols() as usize;
+        for_each_route_expe(s, t, |x, y, v| self.map[x * cols + y] += weight * v);
     }
 
     /// The per-router congestion map, row-major (`Con(x, y)` at
@@ -365,9 +346,9 @@ mod tests {
     fn quadrant_flips_bit_match_the_per_point_expe() {
         // An asymmetric rectangle (dx = 3, dy = 1) walked in all four
         // flip_x/flip_y quadrants: every cell the accumulator writes must
-        // bit-equal `w * expe(cell, s, t)` — `spread`'s flipped fast path
-        // and the per-point reference share the same grid, so even the
-        // rounding must agree.
+        // bit-equal `w * expe(cell, s, t)` — `spread`'s streamed walk and
+        // the per-point reference's grid perform the same float
+        // operations, so even the rounding must agree.
         use crate::expe;
         let mesh = Mesh::new(9, 9).unwrap();
         let w = 3.25;

@@ -1,5 +1,7 @@
 //! The `Expe` expected-traversal function (Algorithm 4, Appendix B).
 
+use std::cell::RefCell;
+
 use snnmap_hw::Coord;
 
 /// Expected number of times a single spike from `s` to `t` passes through
@@ -16,8 +18,8 @@ use snnmap_hw::Coord;
 /// traversed and return `0`.
 ///
 /// This is the per-point form, faithful to the paper's pseudocode; the
-/// congestion metrics use the same dynamic program over whole rectangles
-/// at once (see [`CongestionAccumulator`](crate::CongestionAccumulator)).
+/// congestion metrics stream the same dynamic program over whole
+/// rectangles at once (see [`for_each_route_expe`]).
 ///
 /// # Examples
 ///
@@ -59,9 +61,9 @@ pub fn expe(p: Coord, s: Coord, t: Coord) -> f64 {
 
 /// The full expectation grid of a normalized rectangle: entry
 /// `[i·(dy+1) + j]` is the probability the staircase from `(0,0)` to
-/// `(dx,dy)` visits `(i,j)`. Shared by [`expe`], the congestion
-/// accumulator, and the incremental congestion objective in
-/// `snnmap-core`.
+/// `(dx,dy)` visits `(i,j)`. The reference form of Algorithm 4, used by
+/// [`expe`] and as the test oracle of [`for_each_expe`], which streams
+/// the same values without materializing the grid.
 ///
 /// Note the grid is *not* symmetric under endpoint reversal: the walk
 /// runs straight once it hits the target row/column, so swapping source
@@ -94,9 +96,137 @@ pub fn expectation_grid(dx: usize, dy: usize) -> Vec<f64> {
     e
 }
 
+thread_local! {
+    /// The one row of scratch [`for_each_expe`] streams the grid through.
+    static ROW: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Streams the nonzero cells of [`expectation_grid`]`(dx, dy)` as
+/// `f(i, j, value)`, in row-major order, with one row of scratch
+/// (`dy + 1` floats, reused per thread) instead of the whole
+/// `(dx+1)(dy+1)` grid.
+///
+/// The values bit-equal the grid's: row `i` of the scratch holds each
+/// cell's share from the row above, and the walk adds the share from the
+/// left before reading it, so every cell sees the same float operations
+/// in the same order as in [`expectation_grid`].
+///
+/// # Examples
+///
+/// ```
+/// use snnmap_metrics::{expectation_grid, for_each_expe};
+///
+/// let grid = expectation_grid(2, 3);
+/// let mut cells = 0;
+/// for_each_expe(2, 3, |i, j, v| {
+///     assert_eq!(v, grid[i * 4 + j]);
+///     cells += 1;
+/// });
+/// assert_eq!(cells, grid.iter().filter(|&&v| v != 0.0).count());
+/// ```
+pub fn for_each_expe(dx: usize, dy: usize, mut f: impl FnMut(usize, usize, f64)) {
+    // Taken out of the cell, so a nested call from `f` gets its own row.
+    let mut row = ROW.with(|r| std::mem::take(&mut *r.borrow_mut()));
+    row.clear();
+    row.resize(dy + 1, 0.0);
+    row[0] = 1.0;
+    for i in 0..=dx {
+        for j in 0..=dy {
+            let v = row[j];
+            if v == 0.0 {
+                continue;
+            }
+            f(i, j, v);
+            if i == dx {
+                // The target row: run straight in y.
+                if j < dy {
+                    row[j + 1] += v;
+                }
+            } else if j < dy {
+                row[j] = v / 2.0;
+                row[j + 1] += v / 2.0;
+            }
+            // On the target column (j == dy) the walk runs straight in x:
+            // the next row's share from above is `v` itself.
+        }
+    }
+    ROW.with(|r| *r.borrow_mut() = row);
+}
+
+/// [`for_each_expe`] over the rectangle of a route `s → t`, in mesh
+/// coordinates: calls `f(x, y, value)` for every router the staircase
+/// from `s` to `t` can visit, `value` being its visit probability
+/// ([`expe`]). The cells come in the normalized grid's row-major order,
+/// mirrored into the quadrant the route occupies.
+pub fn for_each_route_expe(s: Coord, t: Coord, mut f: impl FnMut(usize, usize, f64)) {
+    let dx = s.x.abs_diff(t.x) as usize;
+    let dy = s.y.abs_diff(t.y) as usize;
+    let (x0, y0) = (usize::from(s.x.min(t.x)), usize::from(s.y.min(t.y)));
+    let (flip_x, flip_y) = (t.x < s.x, t.y < s.y);
+    for_each_expe(dx, dy, |i, j, v| {
+        let x = if flip_x { x0 + dx - i } else { x0 + i };
+        let y = if flip_y { y0 + dy - j } else { y0 + j };
+        f(x, y, v);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The walker's `(i, j, bits)` stream.
+    fn streamed(dx: usize, dy: usize) -> Vec<(usize, usize, u64)> {
+        let mut cells = Vec::new();
+        for_each_expe(dx, dy, |i, j, v| cells.push((i, j, v.to_bits())));
+        cells
+    }
+
+    /// The grid's nonzero cells in row-major order.
+    fn materialized(dx: usize, dy: usize) -> Vec<(usize, usize, u64)> {
+        let grid = expectation_grid(dx, dy);
+        (0..=dx)
+            .flat_map(|i| (0..=dy).map(move |j| (i, j)))
+            .map(|(i, j)| (i, j, grid[i * (dy + 1) + j].to_bits()))
+            .filter(|&(_, _, bits)| f64::from_bits(bits) != 0.0)
+            .collect()
+    }
+
+    #[test]
+    fn walker_streams_the_grid_bit_for_bit() {
+        for dx in 0..=64 {
+            for dy in 0..=64 {
+                assert_eq!(streamed(dx, dy), materialized(dx, dy), "{dx}x{dy}");
+            }
+        }
+        // The long strips reach subnormal visit probabilities.
+        for (dx, dy) in [(1023, 2), (2, 1023), (300, 300)] {
+            assert_eq!(streamed(dx, dy), materialized(dx, dy), "{dx}x{dy}");
+        }
+    }
+
+    #[test]
+    fn nested_walks_keep_their_own_rows() {
+        let mut outer = Vec::new();
+        for_each_expe(5, 3, |i, j, v| {
+            outer.push((i, j, v.to_bits()));
+            assert_eq!(streamed(2, 7), materialized(2, 7));
+        });
+        assert_eq!(outer, materialized(5, 3));
+    }
+
+    #[test]
+    fn route_walk_mirrors_into_every_quadrant() {
+        let s = Coord::new(4, 4);
+        for t in [Coord::new(7, 5), Coord::new(1, 5), Coord::new(7, 3), Coord::new(1, 3)] {
+            let mut seen = 0;
+            for_each_route_expe(s, t, |x, y, v| {
+                let p = Coord::new(x as u16, y as u16);
+                assert_eq!(v.to_bits(), expe(p, s, t).to_bits(), "{s} -> {t} at {p}");
+                seen += 1;
+            });
+            assert_eq!(seen, materialized(3, 1).len());
+        }
+    }
 
     #[test]
     fn straight_line_route_is_deterministic() {

@@ -45,7 +45,7 @@ mod report;
 
 pub use congestion::{congestion_map, CongestionAccumulator, CongestionStats};
 pub use energy::energy;
-pub use expe::{expe, expectation_grid};
+pub use expe::{expe, expectation_grid, for_each_expe, for_each_route_expe};
 pub use histogram::hop_histogram;
 pub use latency::{average_latency, max_latency};
 pub use prometheus::{PromText, PROM_PREFIX};

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use snnmap_hw::{Coord, CostModel, Mesh, Placement};
 use snnmap_metrics::{
-    average_latency, congestion_map, energy, expe, max_latency, CongestionAccumulator,
+    average_latency, congestion_map, energy, expe, expectation_grid, max_latency,
+    CongestionAccumulator,
 };
 use snnmap_model::{Pcn, PcnBuilder};
 
@@ -43,8 +44,45 @@ fn arbitrary_pcn_and_placement(
     })
 }
 
+/// The congestion map by materializing each edge's whole Algorithm 4
+/// grid and mirroring it into the edge's quadrant: the accumulator's
+/// loop before it streamed the grid.
+fn oracle_congestion_map(pcn: &Pcn, p: &Placement) -> Vec<f64> {
+    let mesh = p.mesh();
+    let mut map = vec![0.0; mesh.len()];
+    for (f, t, w) in pcn.iter_edges() {
+        let (s, t) = (p.coord_of(f).unwrap(), p.coord_of(t).unwrap());
+        let dx = s.x.abs_diff(t.x) as usize;
+        let dy = s.y.abs_diff(t.y) as usize;
+        let grid = expectation_grid(dx, dy);
+        let (x0, y0) = (s.x.min(t.x) as usize, s.y.min(t.y) as usize);
+        for i in 0..=dx {
+            let x = if t.x < s.x { x0 + dx - i } else { x0 + i };
+            for j in 0..=dy {
+                let v = grid[i * (dy + 1) + j];
+                if v == 0.0 {
+                    continue;
+                }
+                let y = if t.y < s.y { y0 + dy - j } else { y0 + j };
+                map[x * mesh.cols() as usize + y] += w as f64 * v;
+            }
+        }
+    }
+    map
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The streamed accumulator bit-equals the grid-materializing oracle.
+    #[test]
+    fn congestion_map_bit_equals_the_grid_oracle(
+        (pcn, p) in arbitrary_pcn_and_placement(40, 12)
+    ) {
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let got = congestion_map(&pcn, &p).unwrap();
+        prop_assert_eq!(bits(got.map()), bits(&oracle_congestion_map(&pcn, &p)));
+    }
 
     /// Energy decomposes per edge, is translation invariant, and scales
     /// linearly with the cost constants.

@@ -97,10 +97,15 @@ pub struct NocSim {
     config: NocConfig,
     rng: ChaCha8Rng,
     stats: NocStats,
-    /// Scratch: staged moves `(from_router, to_router, to_port)`.
+    /// Scratch: staged moves `(from_slot, to_router, to_port)`, where
+    /// `from_slot = from_router · NUM_PORTS + input port`.
     moves: Vec<(usize, usize, usize)>,
-    /// Scratch: staged incoming counts per (router, port).
+    /// Scratch: staged incoming counts per (router, port); all zero
+    /// between cycles.
     incoming: Vec<u8>,
+    /// `queued[r]`: packets waiting in router `r`'s input queues. A
+    /// cycle skips routers with none.
+    queued: Vec<u32>,
     /// `dead[r]`: router `r` sits on a dead core (empty when fault-free).
     dead: Vec<bool>,
     /// Fault-aware routing table: `next_hop[dst_idx * n + r]` is the
@@ -128,6 +133,7 @@ impl NocSim {
             stats: NocStats::new(mesh),
             moves: Vec::new(),
             incoming: vec![0; n * NUM_PORTS],
+            queued: vec![0; n],
             dead: Vec::new(),
             next_hop: None,
             chip: Vec::new(),
@@ -278,6 +284,7 @@ impl NocSim {
             return Ok(false);
         }
         q.push_back(Packet { src, dst, injected_at: self.cycle, hops: 0 });
+        self.queued[r] += 1;
         self.stats.injected += 1;
         self.in_flight += 1;
         Ok(true)
@@ -341,11 +348,18 @@ impl NocSim {
     /// output port among the input queues whose head requests it, moving
     /// at most one packet per output, subject to the downstream queue's
     /// capacity. Ejections deliver immediately.
+    ///
+    /// Routers are visited in ascending index order, and empty ones are
+    /// skipped: an empty router routes nothing, draws no
+    /// [`Routing::RandomMinimal`] choice and keeps its round-robin
+    /// pointers, so a cycle costs the busy routers plus one counter scan.
     pub fn step(&mut self) {
         self.moves.clear();
-        self.incoming.iter_mut().for_each(|c| *c = 0);
 
         for r in 0..self.routers.len() {
+            if self.queued[r] == 0 {
+                continue;
+            }
             let here = self.mesh.coord_of_index(r);
             // Desired output of each head-of-queue packet.
             let mut desires = [usize::MAX; NUM_PORTS];
@@ -371,6 +385,7 @@ impl NocSim {
                 let Some(p) = winner else { continue };
                 if out == OUT_EJECT {
                     let pkt = self.routers[r].inputs[p].pop_front().expect("head exists");
+                    self.queued[r] -= 1;
                     popped[p] = true;
                     self.routers[r].rr[out] = (p + 1) % NUM_PORTS;
                     self.stats.traversals[r] += 1;
@@ -390,20 +405,19 @@ impl NocSim {
                         > self.routers[to].inputs[in_port].len() + self.incoming[slot] as usize;
                     if room {
                         self.incoming[slot] += 1;
-                        self.moves.push((r, to, in_port));
-                        // Mark the pop now so another output cannot take
-                        // the same head; actual pop happens in commit.
+                        // Stage the move with the port to pop from, and
+                        // mark the pop now so another output cannot take
+                        // the same head; the actual pop happens in commit.
+                        self.moves.push((r * NUM_PORTS + p, to, in_port));
                         popped[p] = true;
                         self.routers[r].rr[out] = (p + 1) % NUM_PORTS;
-                        // Remember which port to pop from in commit order.
-                        self.moves.last_mut().expect("just pushed").0 = r * NUM_PORTS + p;
                     }
                 }
             }
         }
 
         // Commit staged moves: pop from the recorded input port, push to
-        // the downstream queue.
+        // the downstream queue, and clear the staged count.
         for k in 0..self.moves.len() {
             let (from_slot, to, in_port) = self.moves[k];
             let (r, p) = (from_slot / NUM_PORTS, from_slot % NUM_PORTS);
@@ -414,6 +428,9 @@ impl NocSim {
                 self.stats.interchip_traversals += 1;
             }
             self.routers[to].inputs[in_port].push_back(pkt);
+            self.queued[r] -= 1;
+            self.queued[to] += 1;
+            self.incoming[to * NUM_PORTS + in_port] = 0;
         }
 
         self.cycle += 1;
@@ -1055,6 +1072,37 @@ mod tests {
         let a = run();
         assert_eq!(a, run());
         assert!(a.interchip_traversals > 0);
+    }
+
+    #[test]
+    fn an_idle_cycle_changes_nothing_but_the_cycle() {
+        let cfg = NocConfig { routing: Routing::RandomMinimal, seed: 3, queue_capacity: 2 };
+        let mut s = NocSim::new(Mesh::new(5, 5).unwrap(), cfg);
+        // Load first, so the round-robin pointers, RNG and stats have moved
+        // off their defaults; the busy counts track the queues throughout.
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        for _ in 0..80 {
+            let src = Coord::new(rng.gen_range(0..5), rng.gen_range(0..5));
+            let dst = Coord::new(rng.gen_range(0..5), rng.gen_range(0..5));
+            s.inject(src, dst).unwrap();
+            s.step();
+            for (r, router) in s.routers.iter().enumerate() {
+                let held: usize = router.inputs.iter().map(VecDeque::len).sum();
+                assert_eq!(s.queued[r] as usize, held, "router {r}");
+            }
+            assert!(s.incoming.iter().all(|&c| c == 0));
+        }
+        assert!(s.drain(10_000));
+        let snapshot = |s: &NocSim| {
+            let rr: Vec<[usize; NUM_OUTS]> = s.routers.iter().map(|r| r.rr).collect();
+            let next_draw: u64 = s.rng.clone().gen();
+            (s.stats().clone(), s.in_flight(), rr, next_draw, s.queued.clone())
+        };
+        let (before, cycle) = (snapshot(&s), s.cycle());
+        s.step();
+        assert_eq!(s.cycle(), cycle + 1);
+        assert!(s.moves.is_empty());
+        assert_eq!(snapshot(&s), before);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 /// One pipeline run: the header line of every trace stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunEvent {
-    /// Which tool produced the trace (e.g. `map`, `bench_trace`).
+    /// Which tool produced the trace (e.g. `map`, `resume`).
     pub tool: String,
     /// Number of clusters in the PCN being mapped.
     pub clusters: u32,

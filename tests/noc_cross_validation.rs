@@ -1,9 +1,11 @@
 //! Integration tests validating the analytic metrics (§3.3) against the
 //! cycle-level NoC simulator.
 
+use snnmap::io::render_placement;
 use snnmap::metrics::congestion_map;
 use snnmap::noc::{NocConfig, NocSim, PcnTraffic, Routing};
 use snnmap::prelude::*;
+use snnmap::trace::{sha256_hex, NoopSink};
 
 #[test]
 fn simulated_latency_matches_analytic_at_low_load() {
@@ -84,4 +86,42 @@ fn xy_and_random_minimal_deliver_identical_payload_counts() {
         sim.stats().delivered
     };
     assert_eq!(deliver(Routing::Xy), deliver(Routing::RandomMinimal));
+}
+
+/// The placement of [`sim_in_the_loop_placement_is_pinned`].
+const SIM_IN_THE_LOOP: &str = "a547ba136270d992b456ff4abaeb361b4e1b00e84b8cc27aa3d89879cd196459";
+
+/// Sim-in-the-loop refinement, pinned: the composite objective at
+/// λc = 4 with a `NocReweighter` replay every 2 sweeps, 12 sweeps of a
+/// 300-cluster PCN on 20×20. The release-mode `pareto_*` digests cover
+/// the Table 3 workloads; this one runs in the debug test suite.
+#[test]
+fn sim_in_the_loop_placement_is_pinned() {
+    use snnmap::core::{
+        force_directed, hsc_placement, FdConfig, FdRunOpts, Objective, RunBudget,
+    };
+    use snnmap::noc::NocReweighter;
+
+    let pcn = snnmap::model::generators::random_pcn(300, 4.0, 7).expect("builds");
+    let mesh = Mesh::new(20, 20).expect("mesh");
+    let wmax = pcn.iter_edges().map(|(_, _, w)| f64::from(w)).fold(0.0, f64::max);
+    for threads in [1, 2] {
+        let mut p = hsc_placement(&pcn, mesh, None, threads).expect("HSC");
+        let config = FdConfig {
+            objective: Objective::Composite { lambda_c: 4.0, lambda_t: 0.0 },
+            reweight_every: Some(2),
+            threads,
+            ..FdConfig::default()
+        };
+        let mut noc = NocReweighter::new(&pcn, 0.25 / wmax, 256, 42);
+        let mut opts = FdRunOpts {
+            reweighter: Some(&mut noc),
+            budget: RunBudget { max_sweeps: Some(12), ..RunBudget::default() },
+            ..FdRunOpts::default()
+        };
+        let stats = force_directed(&pcn, &mut p, &config, None, None, &mut opts, &mut NoopSink)
+            .expect("FD");
+        assert_eq!((stats.iterations, stats.swaps), (12, 472), "threads {threads}");
+        assert_eq!(sha256_hex(render_placement(&p).as_bytes()), SIM_IN_THE_LOOP, "threads {threads}");
+    }
 }
