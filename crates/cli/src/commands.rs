@@ -7,23 +7,20 @@ use std::time::Duration;
 use snnmap_baselines::{
     BaselineMapper, Budget, DfSynthesizerMapper, PsoMapper, RandomMapper, TrueNorthMapper,
 };
-use snnmap_core::{
-    CheckpointWriter, CoreError, FdCheckpoint, FdRunOpts, InitialPlacement, MapOutcome, Mapper,
-    MultilevelConfig, Objective, Potential, StopReason,
-};
+use snnmap_core::{CheckpointWriter, CoreError, FdCheckpoint, FdRunOpts, MapOutcome, StopReason};
 use snnmap_hw::{
     Board, ChipId, CoreConstraints, CostModel, FaultInjector, FaultMap, FaultPattern, Mesh,
     Placement,
 };
 use snnmap_io::{
     read_board, read_checkpoint, read_faults, read_pcn, read_pcnb, read_placement,
-    render_board, render_faults, render_pcn, write_checkpoint, write_faults, write_pcn,
-    write_pcnb, write_placement, CheckpointMeta,
+    write_checkpoint, write_faults, write_pcn, write_pcnb, write_placement, CheckpointMeta,
+    RunConfig, RunKnobs, Spelling,
 };
 use snnmap_serve::{signal, ServeConfig, Server};
-use snnmap_trace::{sha256_hex, JsonlSink, NoopSink, TraceSink};
+use snnmap_trace::{JsonlSink, NoopSink, TraceSink};
 use snnmap_metrics::{evaluate_with, hop_histogram, EvalOptions};
-use snnmap_noc::{NocConfig, NocReweighter, NocSim, PcnTraffic};
+use snnmap_noc::{noc_scale, NocConfig, NocReweighter, NocSim, PcnTraffic, REPLAY_CYCLES};
 use snnmap_model::generators::{random_pcn, table3_suite};
 use snnmap_model::Pcn;
 
@@ -221,111 +218,52 @@ fn load_faults(
     Ok(Some(fm))
 }
 
-/// Simulated cycles per NoC run (sim-in-the-loop reweighting and the
-/// `eval` NoC columns): long enough that per-router Bernoulli noise
-/// stays small, short enough to be a rounding error next to FD itself.
-const NOC_EVAL_CYCLES: u64 = 256;
-
-/// Injection scale for the seeded NoC runs: the hottest PCN connection
-/// injects with probability 1/4 per cycle, so [`PcnTraffic`]'s `min(1, ·)`
-/// clamp never engages and traversal counts stay proportional to edge
-/// weights.
-fn noc_scale(pcn: &Pcn) -> f64 {
-    let mut wmax = 0.0f64;
-    for c in 0..pcn.num_clusters() {
-        for (_, w) in pcn.out_edges(c) {
-            wmax = wmax.max(w as f64);
+/// An `on`/`off` flag (`--multilevel`, `--trace-timing`).
+fn on_off(o: &Opts, flag: &str, default: bool) -> Result<bool, CliError> {
+    match o.flag(flag) {
+        None => Ok(default),
+        Some("on") => Ok(true),
+        Some("off") => Ok(false),
+        Some(other) => {
+            Err(CliError::usage(format!("`--{flag}` takes `on` or `off`, got `{other}`")))
         }
-    }
-    if wmax > 0.0 {
-        0.25 / wmax
-    } else {
-        0.0
     }
 }
 
-/// Parses the `--objective` / `--lambda-congestion` / `--lambda-latency`
-/// flag family into an [`Objective`], rejecting λ knobs the chosen
-/// objective ignores (a silently dropped weight would be worse than an
-/// error).
-fn parse_objective(o: &Opts) -> Result<Objective, CliError> {
-    let label = o.flag("objective").unwrap_or("energy");
-    if label == "energy" {
-        for flag in ["lambda-congestion", "lambda-latency"] {
-            if o.flag(flag).is_some() {
-                return Err(CliError::usage(format!(
-                    "`--{flag}` has no effect with `--objective energy`"
-                )));
-            }
-        }
-    }
-    if label == "congestion" && o.flag("lambda-latency").is_some() {
-        return Err(CliError::usage(
-            "`--lambda-latency` has no effect with `--objective congestion`; \
-             use `--objective composite`",
-        ));
-    }
-    let lambda_c: f64 = o.parsed_or("lambda-congestion", 1.0)?;
-    let lambda_t: f64 = o.parsed_or("lambda-latency", 0.0)?;
-    let objective = Objective::from_parts(label, lambda_c, lambda_t).ok_or_else(|| {
-        CliError::usage(format!(
-            "unknown objective `{label}` (energy, congestion, or composite)"
-        ))
-    })?;
-    objective.validate().map_err(|e| CliError::usage(e.to_string()))?;
-    Ok(objective)
+/// `--trace-out`, or the `SNNMAP_TRACE` env fallback, which lets
+/// wrappers/CI turn tracing on without editing the command line.
+fn trace_out(o: &Opts) -> Option<String> {
+    o.flag("trace-out")
+        .map(str::to_owned)
+        .or_else(|| std::env::var("SNNMAP_TRACE").ok().filter(|v| !v.is_empty()))
 }
 
-/// Provenance digests for a proposed-method run: the PCN and every
-/// configuration knob that shapes the FD trajectory (budgets and thread
-/// counts are deliberately excluded — the trajectory is invariant to
-/// them, and resuming under a *different* budget is the whole point).
-#[allow(clippy::too_many_arguments)]
-fn proposed_digests(
-    pcn: &Pcn,
-    init: &str,
-    potential: &str,
-    lambda: f64,
+/// The [`RunConfig`] behind `map --method proposed` and `resume`, from
+/// their flags. The two commands resolve `faults` (and `map` the
+/// board) against different meshes, so they pass them in resolved.
+fn run_config(
+    o: &Opts,
     seed: u64,
-    faults: Option<&FaultMap>,
-    multilevel: bool,
-    board: Option<&Board>,
-    objective: Objective,
-    reweight_every: Option<u64>,
-) -> CheckpointMeta {
-    let faults_digest = match faults {
-        Some(fm) => sha256_hex(render_faults(fm).as_bytes()),
-        None => "none".to_string(),
-    };
-    let ml = if multilevel { "on" } else { "off" };
-    // Boardless digests keep their historical value; a board-constrained
-    // run appends its topology digest so a board/no-board resume mismatch
-    // is refused.
-    let board_digest = match board {
-        Some(b) => format!(" board={}", sha256_hex(render_board(b).as_bytes())),
-        None => String::new(),
-    };
-    // Same append-only discipline for the objective family: the default
-    // (pure energy, no reweighting) contributes nothing, so historical
-    // checkpoints keep verifying.
-    let objective_part = if objective.is_energy() && reweight_every.is_none() {
-        String::new()
-    } else {
-        let (_, lc, lt) = objective.weights();
-        let rw = match reweight_every {
-            Some(k) => format!(" reweight={k}"),
-            None => String::new(),
-        };
-        format!(" objective={} lc={lc} lt={lt}{rw}", objective.label())
-    };
-    let config = format!(
-        "init={init} potential={potential} lambda={lambda} seed={seed} \
-         faults={faults_digest} multilevel={ml}{board_digest}{objective_part}"
-    );
-    CheckpointMeta {
-        config_digest: sha256_hex(config.as_bytes()),
-        pcn_digest: sha256_hex(render_pcn(pcn).as_bytes()),
+    faults: Option<FaultMap>,
+    board: Option<Board>,
+) -> Result<RunConfig, CliError> {
+    let sim_in_loop: u64 = o.parsed_or("sim-in-loop", 0)?;
+    RunKnobs {
+        init: o.flag("init"),
+        potential: o.flag("potential"),
+        lambda: o.parsed("lambda")?,
+        seed: Some(seed),
+        threads: parse_threads_flag(o)?,
+        faults,
+        multilevel: on_off(o, "multilevel", false)?,
+        board,
+        objective: o.flag("objective"),
+        lambda_congestion: o.parsed("lambda-congestion")?,
+        lambda_latency: o.parsed("lambda-latency")?,
+        sim_in_loop: (sim_in_loop > 0).then_some(sim_in_loop),
     }
+    .resolve(Spelling::Flag)
+    .map_err(CliError::usage)
 }
 
 /// Runs a mapping closure against a JSONL sink when `--trace-out` was
@@ -415,40 +353,47 @@ impl ResilienceOpts {
     }
 }
 
-/// `snnmap map`: place a PCN onto a mesh.
-pub fn map(args: &[String]) -> Result<String, CliError> {
-    let o = Opts::parse(
-        args,
-        &[
-            "out",
-            "method",
-            "mesh",
-            "board",
-            "init",
-            "potential",
-            "lambda",
-            "budget-secs",
-            "seed",
-            "faults",
-            "faults-out",
-            "threads",
-            "multilevel",
-            "objective",
-            "lambda-congestion",
-            "lambda-latency",
-            "sim-in-loop",
-            "trace-out",
-            "trace-timing",
-            "deadline-ms",
-            "max-sweeps",
-            "checkpoint-every",
-            "checkpoint-out",
-        ],
-    )?;
+/// Every flag `snnmap map` accepts.
+const MAP_FLAGS: [&str; 23] = [
+    "out",
+    "method",
+    "mesh",
+    "board",
+    "init",
+    "potential",
+    "lambda",
+    "budget-secs",
+    "seed",
+    "faults",
+    "faults-out",
+    "threads",
+    "multilevel",
+    "objective",
+    "lambda-congestion",
+    "lambda-latency",
+    "sim-in-loop",
+    "trace-out",
+    "trace-timing",
+    "deadline-ms",
+    "max-sweeps",
+    "checkpoint-every",
+    "checkpoint-out",
+];
+
+/// What `map` places and where.
+struct MapTarget {
+    pcn: Pcn,
+    seed: u64,
+    board: Option<Board>,
+    /// The board's mesh, else `--mesh`, else the smallest square that fits.
+    mesh: Mesh,
+    faults: Option<FaultMap>,
+}
+
+fn map_target(o: &Opts) -> Result<MapTarget, CliError> {
     let pcn = read_pcn_auto(Path::new(o.positional(0, "file.pcn")?))?;
-    let out = Path::new(o.required("out")?);
     let seed: u64 = o.parsed_or("seed", 42)?;
-    let board = load_board(&o)?;
+    let board = load_board(o)?;
     let mesh = match (o.flag("mesh"), &board) {
         (Some(spec), Some(b)) => {
             let mesh = parse_mesh(spec)?;
@@ -466,41 +411,38 @@ pub fn map(args: &[String]) -> Result<String, CliError> {
         (None, None) => Mesh::square_for(pcn.num_clusters() as u64)
             .map_err(|e| CliError::usage(e.to_string()))?,
     };
+    let faults = load_faults(o, mesh, seed, board.as_ref())?;
+    Ok(MapTarget { pcn, seed, board, mesh, faults })
+}
+
+/// The [`RunConfig`] `snnmap map <args>` runs with `--method proposed`,
+/// read and validated exactly as `map` does, without mapping anything.
+///
+/// # Errors
+///
+/// As `snnmap map` for the same arguments, up to the mapping itself.
+pub fn map_config(args: &[String]) -> Result<RunConfig, CliError> {
+    let o = Opts::parse(args, &MAP_FLAGS)?;
+    let t = map_target(&o)?;
+    run_config(&o, t.seed, t.faults, t.board)
+}
+
+/// `snnmap map`: place a PCN onto a mesh.
+pub fn map(args: &[String]) -> Result<String, CliError> {
+    let o = Opts::parse(args, &MAP_FLAGS)?;
+    let MapTarget { pcn, seed, board, mesh, faults } = map_target(&o)?;
+    let out = Path::new(o.required("out")?);
     let budget_secs: u64 = o.parsed_or("budget-secs", 0)?;
     let budget = (budget_secs > 0).then(|| Duration::from_secs(budget_secs));
-    let faults = load_faults(&o, mesh, seed, board.as_ref())?;
     if let Some(path) = o.flag("faults-out") {
         match &faults {
             Some(fm) => write_faults(Path::new(path), fm)?,
             None => return Err(CliError::usage("`--faults-out` requires `--faults`")),
         }
     }
-
-    // `--trace-out` wins over the `SNNMAP_TRACE` env fallback, which lets
-    // wrappers/CI turn tracing on without editing the command line.
-    let trace_out = o
-        .flag("trace-out")
-        .map(str::to_owned)
-        .or_else(|| std::env::var("SNNMAP_TRACE").ok().filter(|v| !v.is_empty()));
-    let trace_timing = match o.flag("trace-timing").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::usage(format!(
-                "`--trace-timing` takes `on` or `off`, got `{other}`"
-            )))
-        }
-    };
-
-    let multilevel = match o.flag("multilevel").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::usage(format!(
-                "`--multilevel` takes `on` or `off`, got `{other}`"
-            )))
-        }
-    };
+    let trace_out = trace_out(&o);
+    let trace_timing = on_off(&o, "trace-timing", true)?;
+    let multilevel = on_off(&o, "multilevel", false)?;
 
     let method = o.flag("method").unwrap_or("proposed");
     if faults.is_some() && method != "proposed" {
@@ -541,80 +483,20 @@ pub fn map(args: &[String]) -> Result<String, CliError> {
     }
     let (placement, detail) = match method {
         "proposed" => {
-            let init_name = o.flag("init").unwrap_or("hilbert");
-            let init = match init_name {
-                "hilbert" => InitialPlacement::Hilbert,
-                "zigzag" => InitialPlacement::ZigZag,
-                "circle" => InitialPlacement::Circle,
-                "serpentine" => InitialPlacement::Serpentine,
-                "random" => InitialPlacement::Random(seed),
-                other => return Err(CliError::usage(format!("unknown init `{other}`"))),
-            };
-            let potential_name = o.flag("potential").unwrap_or("l2sq");
-            let potential = match potential_name {
-                "l1" => Potential::L1,
-                "l1sq" => Potential::L1Squared,
-                "l2sq" => Potential::L2Squared,
-                "energy" => Potential::energy_model(CostModel::paper_target()),
-                other => return Err(CliError::usage(format!("unknown potential `{other}`"))),
-            };
-            let lambda: f64 = o.parsed_or("lambda", 0.3)?;
-            if !(lambda > 0.0 && lambda <= 1.0) {
-                return Err(CliError::usage("lambda must be in (0, 1]"));
-            }
-            let objective = parse_objective(&o)?;
-            let sim_in_loop: u64 = o.parsed_or("sim-in-loop", 0)?;
-            if sim_in_loop > 0 && objective.is_energy() {
-                return Err(CliError::usage(
-                    "`--sim-in-loop` requires `--objective congestion` or `composite`",
-                ));
-            }
-            // Absent = auto (SNNMAP_THREADS, else available parallelism);
-            // the placement is bit-identical for every thread count.
-            let threads = parse_threads_flag(&o)?;
-            let mut builder = Mapper::builder()
-                .initial_placement(init)
-                .potential(potential)
-                .lambda(lambda)
-                .threads(threads);
-            if !objective.is_energy() {
-                builder = builder.objective(objective);
-            }
-            if sim_in_loop > 0 {
-                builder = builder.reweight_every(sim_in_loop);
-            }
-            if multilevel {
-                builder = builder.multilevel(MultilevelConfig::default());
-            }
+            let config = run_config(&o, seed, faults.clone(), board.clone())?;
+            let mut builder = config.builder();
             if let Some(b) = budget {
                 builder = builder.time_budget(b);
             }
-            if let Some(fm) = faults.clone() {
-                builder = builder.fault_map(fm);
-            }
-            if let Some(b) = board.clone() {
-                builder = builder.board(b);
-            }
             let mapper = builder.build();
             let resilience = ResilienceOpts::parse(&o)?;
-            let meta = proposed_digests(
-                &pcn,
-                init_name,
-                potential_name,
-                lambda,
-                seed,
-                faults.as_ref(),
-                multilevel,
-                board.as_ref(),
-                objective,
-                (sim_in_loop > 0).then_some(sim_in_loop),
-            );
-            let mut writer = resilience.writer(&meta);
+            let mut writer = resilience.writer(&config.provenance(&pcn));
             // Sim-in-the-loop: a seeded NocSim replays the PCN's traffic
             // over the evolving placement every `sim_in_loop` sweeps and
             // hands per-router heat back to the congestion term.
-            let mut sim_hook = (sim_in_loop > 0)
-                .then(|| NocReweighter::new(&pcn, noc_scale(&pcn), NOC_EVAL_CYCLES, seed));
+            let mut sim_hook = config
+                .sim_in_loop
+                .map(|_| NocReweighter::new(&pcn, noc_scale(&pcn), REPLAY_CYCLES, seed));
             let mut run_opts = FdRunOpts::default();
             resilience.apply(
                 &mut run_opts,
@@ -640,11 +522,12 @@ pub fn map(args: &[String]) -> Result<String, CliError> {
                 ));
             }
             let mut detail = fd_detail(&outcome, resilience.checkpoint_out.as_deref());
+            let objective = config.objective;
             if !objective.is_energy() {
                 let (_, lc, lt) = objective.weights();
                 let _ = write!(detail, "\nobjective: {} (lc={lc}, lt={lt})", objective.label());
-                if sim_in_loop > 0 {
-                    let _ = write!(detail, ", NoC reweight every {sim_in_loop} sweep(s)");
+                if let Some(k) = config.sim_in_loop {
+                    let _ = write!(detail, ", NoC reweight every {k} sweep(s)");
                 }
             }
             (outcome.placement, detail)
@@ -855,53 +738,14 @@ pub fn resume(args: &[String]) -> Result<String, CliError> {
     // carry a board digest no boardless config can reproduce, so the
     // provenance check below refuses them with a typed usage error.
     let faults = load_faults(&o, checkpoint.mesh, seed, None)?;
-
-    let init_name = o.flag("init").unwrap_or("hilbert");
-    if !["hilbert", "zigzag", "circle", "serpentine", "random"].contains(&init_name) {
-        return Err(CliError::usage(format!("unknown init `{init_name}`")));
-    }
-    let potential_name = o.flag("potential").unwrap_or("l2sq");
-    let potential = match potential_name {
-        "l1" => Potential::L1,
-        "l1sq" => Potential::L1Squared,
-        "l2sq" => Potential::L2Squared,
-        "energy" => Potential::energy_model(CostModel::paper_target()),
-        other => return Err(CliError::usage(format!("unknown potential `{other}`"))),
-    };
-    let lambda: f64 = o.parsed_or("lambda", 0.3)?;
-    if !(lambda > 0.0 && lambda <= 1.0) {
-        return Err(CliError::usage("lambda must be in (0, 1]"));
-    }
-    let threads = parse_threads_flag(&o)?;
     // Checkpoints only ever freeze finest-level FD state, so resuming a
     // `--multilevel on` run is plain FD from the snapshot — the flag here
     // exists purely to reproduce the original run's config digest.
-    let multilevel = match o.flag("multilevel").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::usage(format!(
-                "`--multilevel` takes `on` or `off`, got `{other}`"
-            )))
-        }
-    };
-
     // Sim-in-the-loop runs are never checkpointed (the heat-derived
-    // weight field is not part of FdCheckpoint), so resume only needs the
-    // static objective knobs to reproduce the original digest.
-    let objective = parse_objective(&o)?;
-    let meta = proposed_digests(
-        &pcn,
-        init_name,
-        potential_name,
-        lambda,
-        seed,
-        faults.as_ref(),
-        multilevel,
-        None,
-        objective,
-        None,
-    );
+    // weight field is not part of FdCheckpoint), so `resume` has no
+    // `--sim-in-loop`.
+    let config = run_config(&o, seed, faults, None)?;
+    let meta = config.provenance(&pcn);
     if meta.pcn_digest != on_disk.pcn_digest {
         return Err(CliError::usage(
             "checkpoint was taken from a different PCN (digest mismatch); \
@@ -918,28 +762,9 @@ pub fn resume(args: &[String]) -> Result<String, CliError> {
         ));
     }
 
-    let trace_out = o
-        .flag("trace-out")
-        .map(str::to_owned)
-        .or_else(|| std::env::var("SNNMAP_TRACE").ok().filter(|v| !v.is_empty()));
-    let trace_timing = match o.flag("trace-timing").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::usage(format!(
-                "`--trace-timing` takes `on` or `off`, got `{other}`"
-            )))
-        }
-    };
-
-    let mut builder = Mapper::builder().potential(potential).lambda(lambda).threads(threads);
-    if !objective.is_energy() {
-        builder = builder.objective(objective);
-    }
-    if let Some(fm) = faults.clone() {
-        builder = builder.fault_map(fm);
-    }
-    let mapper = builder.build();
+    let trace_out = trace_out(&o);
+    let trace_timing = on_off(&o, "trace-timing", true)?;
+    let mapper = config.mapper();
     let resilience = ResilienceOpts::parse(&o)?;
     let mut writer = resilience.writer(&meta);
     let mut run_opts = FdRunOpts::default();
@@ -1044,6 +869,12 @@ struct NocEval {
     /// no traffic to drive the adapter.
     sim_avg_congestion: f64,
     sim_max_congestion: f64,
+    /// Whether every injected packet was delivered. A `RandomMinimal`
+    /// network can deadlock, and then the columns above miss the
+    /// packets still stuck in it.
+    drained: bool,
+    injected: u64,
+    delivered: u64,
 }
 
 /// Replays the PCN's spike traffic over `placement` for `cycles` cycles
@@ -1059,7 +890,7 @@ fn simulate_noc(pcn: &Pcn, placement: &Placement, cycles: u64, seed: u64) -> Noc
         ..NocConfig::default()
     };
     let mut sim = NocSim::new(mesh, config);
-    traffic.run(&mut sim, cycles);
+    let drained = traffic.run(&mut sim, cycles);
     let stats = sim.stats();
     let (arg, &hot) = stats
         .traversals
@@ -1084,6 +915,9 @@ fn simulate_noc(pcn: &Pcn, placement: &Placement, cycles: u64, seed: u64) -> Noc
         hottest_traversals: hot,
         sim_avg_congestion: sim_avg,
         sim_max_congestion: sim_max,
+        drained,
+        injected: stats.injected,
+        delivered: stats.delivered,
     }
 }
 
@@ -1138,7 +972,7 @@ pub fn eval(args: &[String]) -> Result<String, CliError> {
     let (pcn, placement) = load_pair(&o)?;
     let sample: u64 = o.parsed_or("sample", 200_000)?;
     let seed: u64 = o.parsed_or("seed", 42)?;
-    let noc_cycles: u64 = o.parsed_or("noc-cycles", NOC_EVAL_CYCLES)?;
+    let noc_cycles: u64 = o.parsed_or("noc-cycles", REPLAY_CYCLES)?;
     let report = evaluate_with(
         &pcn,
         &placement,
@@ -1198,6 +1032,14 @@ pub fn eval(args: &[String]) -> Result<String, CliError> {
             n.sim_avg_congestion,
             n.sim_max_congestion
         );
+        if !n.drained {
+            let _ = writeln!(
+                out,
+                "NoC replay did not drain: {} of {} injected packets delivered \
+                 (deadlocked; the NoC columns miss the rest)",
+                n.delivered, n.injected
+            );
+        }
     }
     // Traffic-by-hop-distance distribution, as cumulative percentiles.
     let hist = hop_histogram(&pcn, &placement)?;

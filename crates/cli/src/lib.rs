@@ -26,7 +26,8 @@
 //!
 //! The library surface is a single [`run`] function over string
 //! arguments (what `main` calls), which keeps every code path unit
-//! testable.
+//! testable, plus [`map_config`]: the run configuration a `map`
+//! invocation resolves to, for checking it against the daemon's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -36,6 +37,7 @@ mod error;
 mod opts;
 mod viz;
 
+pub use commands::map_config;
 pub use error::CliError;
 
 /// Usage text printed on argument errors.
@@ -228,6 +230,34 @@ mod tests {
 
         let out = run(&sv(&["viz", pcn_s, placement_s])).unwrap();
         assert!(out.contains("congestion"), "{out}");
+    }
+
+    #[test]
+    fn eval_says_when_its_noc_replay_did_not_drain() {
+        let dir = std::env::temp_dir().join("snnmap_cli_eval_deadlock");
+        std::fs::create_dir_all(&dir).unwrap();
+        let pcn = dir.join("app.pcn");
+        let placement = dir.join("rows.json");
+        let pcn_s = pcn.to_str().unwrap();
+        let placement_s = placement.to_str().unwrap();
+        // A dense PCN laid out row by row saturates the random-minimal
+        // replay until it deadlocks.
+        run(&sv(&["gen", "--random", "144,16", "--seed", "5", "--out", pcn_s])).unwrap();
+        let coords: Vec<String> = (0..144).map(|i| format!("[{}, {}]", i / 12, i % 12)).collect();
+        std::fs::write(
+            &placement,
+            format!(
+                "{{\"format\": \"snnmap-placement-v1\", \"rows\": 12, \"cols\": 12, \
+                 \"coords\": [{}]}}",
+                coords.join(", ")
+            ),
+        )
+        .unwrap();
+        let out = run(&sv(&["eval", pcn_s, placement_s])).unwrap();
+        assert!(
+            out.contains("NoC replay did not drain: 7135 of 10156 injected packets delivered"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -59,14 +59,18 @@ impl Opts {
         self.flag(name).ok_or_else(|| CliError::usage(format!("missing required `--{name}`")))
     }
 
+    /// An optional parsed flag.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.flag(name)
+            .map(|v| {
+                v.parse().map_err(|_| CliError::usage(format!("cannot parse `--{name} {v}`")))
+            })
+            .transpose()
+    }
+
     /// An optional parsed flag with a default.
     pub fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::usage(format!("cannot parse `--{name} {v}`"))),
-        }
+        Ok(self.parsed(name)?.unwrap_or(default))
     }
 }
 

@@ -2,7 +2,7 @@
 //! accepts, and the document a spooled job is recovered from.
 //!
 //! A job bundles a PCN (embedded as the text format [`crate::parse_pcn`]
-//! reads) with the mapper configuration knobs of `snnmap map --method
+//! reads) with the [`RunConfig`] knobs of `snnmap map --method
 //! proposed`. Everything but the PCN is optional and defaults to the
 //! CLI's defaults, so a minimal request is just
 //! `{"format": "snnmap-job-v1", "pcn": "pcn v1\n..."}`.
@@ -14,26 +14,15 @@
 //! a typed error before any mapping work is queued.
 
 use serde::{Deserialize, Serialize};
-use snnmap_core::Objective;
 use snnmap_hw::{Board, Mesh};
 use snnmap_model::Pcn;
-use snnmap_trace::sha256_hex;
 
-use crate::board_format::render_board;
 use crate::limits::checked_mesh;
 use crate::pcn_format::{parse_pcn, render_pcn};
-use crate::{CheckpointMeta, IoError};
+use crate::{CheckpointMeta, IoError, RunConfig, RunKnobs, Spelling};
 
 /// The format tag every job document must carry.
 const FORMAT: &str = "snnmap-job-v1";
-
-/// Initial-placement names accepted by [`parse_job`] (the CLI's
-/// `--init` vocabulary).
-pub const JOB_INITS: [&str; 5] = ["hilbert", "zigzag", "circle", "serpentine", "random"];
-
-/// Potential names accepted by [`parse_job`] (the CLI's `--potential`
-/// vocabulary).
-pub const JOB_POTENTIALS: [&str; 4] = ["l1", "l1sq", "l2sq", "energy"];
 
 /// A validated mapping job: the PCN to place plus the proposed-method
 /// configuration. Produced by [`parse_job`]; field semantics match the
@@ -42,38 +31,21 @@ pub const JOB_POTENTIALS: [&str; 4] = ["l1", "l1sq", "l2sq", "energy"];
 pub struct JobSpec {
     /// The cluster network to map.
     pub pcn: Pcn,
-    /// Target mesh (defaults to the smallest square that fits).
+    /// Target mesh (defaults to the board's, else the smallest square
+    /// that fits).
     pub mesh: Mesh,
-    /// Initial placement: one of [`JOB_INITS`].
-    pub init: String,
-    /// FD potential: one of [`JOB_POTENTIALS`].
-    pub potential: String,
-    /// Queue fraction λ in `(0, 1]`.
-    pub lambda: f64,
-    /// Seed for `init = "random"`.
-    pub seed: u64,
-    /// Worker threads for the FD engine (0 = auto).
-    pub threads: usize,
+    /// The run configuration. A job has no `faults` or `multilevel`
+    /// knob; a `board` job becomes a target for `POST /faults/chip`
+    /// injection.
+    pub config: RunConfig,
     /// Optional sweep budget; the job finishes with the best-so-far
     /// placement when the cap is reached.
     pub max_sweeps: Option<u64>,
     /// Spool-checkpoint cadence in sweeps (0 disables periodic
-    /// checkpoints; budgeted stops still flush one).
+    /// checkpoints; budgeted stops still flush one). Sim-in-the-loop
+    /// jobs are never checkpointed, so this defaults to 0 for them and
+    /// an explicit positive cadence is rejected.
     pub checkpoint_every: u64,
-    /// Optional multi-chip board (the `snnmap map --board` semantics):
-    /// the mesh is the board's, the initial placement and FD refinement
-    /// respect per-core capacities, and the job becomes a target for
-    /// `POST /faults/chip` injection.
-    pub board: Option<Board>,
-    /// Refinement objective (the `snnmap map --objective` family).
-    /// Defaults to pure energy, which keeps historical digests intact.
-    pub objective: Objective,
-    /// Sim-in-the-loop cadence in sweeps (the `snnmap map
-    /// --sim-in-loop` semantics): every `k` sweeps a seeded NoC replay
-    /// re-weights congested routers. Incompatible with spool
-    /// checkpointing, so `checkpoint_every` defaults to 0 (and an
-    /// explicit positive cadence is rejected) when this is set.
-    pub sim_in_loop: Option<u64>,
 }
 
 /// The JSON document shape for a job request.
@@ -115,39 +87,13 @@ fn board_spec(board: &Board) -> String {
 }
 
 impl JobSpec {
-    /// The provenance digests a checkpoint taken for this job carries —
-    /// the same formula `snnmap map --checkpoint-out` stamps, so a
-    /// spooled checkpoint can be cross-checked on recovery exactly like
-    /// `snnmap resume` cross-checks a CLI checkpoint.
+    /// The provenance digests a checkpoint taken for this job carries:
+    /// [`RunConfig::provenance`], the formula `snnmap map
+    /// --checkpoint-out` stamps, so a spooled checkpoint is cross-checked
+    /// on recovery exactly like `snnmap resume` cross-checks a CLI one —
+    /// and `snnmap resume` accepts it.
     pub fn provenance(&self) -> CheckpointMeta {
-        let mut config = format!(
-            "init={} potential={} lambda={} seed={} faults=none",
-            self.init, self.potential, self.lambda, self.seed
-        );
-        // Board-constrained runs digest the full board topology (the
-        // `snnmap map --board` formula); boardless configs keep their
-        // historical digest value.
-        if let Some(board) = &self.board {
-            config.push_str(&format!(" board={}", sha256_hex(render_board(board).as_bytes())));
-        }
-        // Same append-only discipline for the objective family: the
-        // default (pure energy, no reweighting) contributes nothing, so
-        // pre-objective checkpoints keep verifying.
-        if !(self.objective.is_energy() && self.sim_in_loop.is_none()) {
-            let (_, lc, lt) = self.objective.weights();
-            let rw = match self.sim_in_loop {
-                Some(k) => format!(" reweight={k}"),
-                None => String::new(),
-            };
-            config.push_str(&format!(
-                " objective={} lc={lc} lt={lt}{rw}",
-                self.objective.label()
-            ));
-        }
-        CheckpointMeta {
-            config_digest: sha256_hex(config.as_bytes()),
-            pcn_digest: sha256_hex(render_pcn(&self.pcn).as_bytes()),
-        }
+        self.config.provenance(&self.pcn)
     }
 }
 
@@ -155,25 +101,26 @@ impl JobSpec {
 /// embedded via [`render_pcn`], so `parse_job(render_job(s))` round
 /// trips).
 pub fn render_job(spec: &JobSpec) -> String {
+    let c = &spec.config;
     // λ knobs the objective ignores are omitted rather than rendered,
     // because `parse_job` (like the CLI) rejects them as dead weight.
-    let (_, lc, lt) = spec.objective.weights();
+    let (_, lc, lt) = c.objective.weights();
     let doc = JobDoc {
         format: FORMAT.to_string(),
         pcn: render_pcn(&spec.pcn),
         mesh: Some(format!("{}x{}", spec.mesh.rows(), spec.mesh.cols())),
-        init: Some(spec.init.clone()),
-        potential: Some(spec.potential.clone()),
-        lambda: Some(spec.lambda),
-        seed: Some(spec.seed),
-        threads: Some(spec.threads as u64),
+        init: Some(c.init_name().to_string()),
+        potential: Some(c.potential_name().to_string()),
+        lambda: Some(c.lambda),
+        seed: Some(c.seed),
+        threads: Some(c.threads as u64),
         max_sweeps: spec.max_sweeps,
         checkpoint_every: Some(spec.checkpoint_every),
-        board: spec.board.as_ref().map(board_spec),
-        objective: Some(spec.objective.label().to_string()),
-        lambda_congestion: (!spec.objective.is_energy()).then_some(lc),
-        lambda_latency: (spec.objective.label() == "composite").then_some(lt),
-        sim_in_loop: spec.sim_in_loop,
+        board: c.board.as_ref().map(board_spec),
+        objective: Some(c.objective.label().to_string()),
+        lambda_congestion: (!c.objective.is_energy()).then_some(lc),
+        lambda_latency: (c.objective.label() == "composite").then_some(lt),
+        sim_in_loop: c.sim_in_loop,
     };
     serde_json::to_string_pretty(&doc).expect("job doc always serializes")
 }
@@ -184,45 +131,38 @@ pub fn render_job(spec: &JobSpec) -> String {
 ///
 /// [`IoError::DuplicateKey`] for repeated JSON keys, [`IoError::Json`]
 /// for malformed JSON, [`IoError::Parse`] for a malformed embedded PCN,
-/// and [`IoError::Invalid`] for a wrong format tag, an unknown
-/// init/potential name, λ outside `(0, 1]`, a mesh that fails the
-/// [`crate::MAX_MESH_CORES`] bound, a mesh too small for the PCN, a
-/// malformed `board` topology spec, or a `mesh` that disagrees with the
-/// board's.
+/// and [`IoError::Invalid`] for a wrong format tag, a mesh that fails
+/// the [`crate::MAX_MESH_CORES`] bound, a mesh too small for the PCN, a
+/// malformed `board` topology spec, a `mesh` that disagrees with the
+/// board's, a zero `max_sweeps` or `sim_in_loop`, a spool-checkpointed
+/// sim-in-the-loop job, and every knob [`RunKnobs::resolve`] rejects.
 pub fn parse_job(text: &str) -> Result<JobSpec, IoError> {
     crate::dupkey::reject_duplicate_keys(text)?;
     let doc: JobDoc = serde_json::from_str(text)?;
+    let invalid = |message: String| IoError::Invalid { message };
     if doc.format != FORMAT {
-        return Err(IoError::Invalid { message: format!("unknown format tag `{}`", doc.format) });
+        return Err(invalid(format!("unknown format tag `{}`", doc.format)));
     }
     let pcn = parse_pcn(&doc.pcn)?;
     let board = match doc.board.as_deref() {
-        Some(spec) => Some(
-            Board::parse(spec).map_err(|e| IoError::Invalid { message: e.to_string() })?,
-        ),
+        Some(spec) => Some(Board::parse(spec).map_err(|e| invalid(e.to_string()))?),
         None => None,
     };
     let mesh = match (doc.mesh.as_deref(), &board) {
         (Some(spec), _) => {
-            let (r, c) = spec.split_once(['x', 'X']).ok_or_else(|| IoError::Invalid {
-                message: format!("mesh must be `<rows>x<cols>`, got `{spec}`"),
-            })?;
-            let rows: u16 = r.parse().map_err(|_| IoError::Invalid {
-                message: format!("bad mesh rows `{r}`"),
-            })?;
-            let cols: u16 = c.parse().map_err(|_| IoError::Invalid {
-                message: format!("bad mesh cols `{c}`"),
-            })?;
+            let (r, c) = spec
+                .split_once(['x', 'X'])
+                .ok_or_else(|| invalid(format!("mesh must be `<rows>x<cols>`, got `{spec}`")))?;
+            let rows: u16 = r.parse().map_err(|_| invalid(format!("bad mesh rows `{r}`")))?;
+            let cols: u16 = c.parse().map_err(|_| invalid(format!("bad mesh cols `{c}`")))?;
             let mesh = checked_mesh(rows, cols)?;
             if let Some(board) = &board {
                 if mesh != board.mesh() {
-                    return Err(IoError::Invalid {
-                        message: format!(
-                            "mesh {mesh} disagrees with the board's {} mesh; \
-                             omit `mesh` to derive it from `board`",
-                            board.mesh()
-                        ),
-                    });
+                    return Err(invalid(format!(
+                        "mesh {mesh} disagrees with the board's {} mesh; \
+                         omit `mesh` to derive it from `board`",
+                        board.mesh()
+                    )));
                 }
             }
             mesh
@@ -231,110 +171,60 @@ pub fn parse_job(text: &str) -> Result<JobSpec, IoError> {
         // `Board::parse` bounds each side at u16 but not the product.
         (None, Some(board)) => checked_mesh(board.mesh().rows(), board.mesh().cols())?,
         (None, None) => Mesh::square_for(u64::from(pcn.num_clusters()))
-            .map_err(|e| IoError::Invalid { message: e.to_string() })?,
+            .map_err(|e| invalid(e.to_string()))?,
     };
     if (mesh.len() as u64) < u64::from(pcn.num_clusters()) {
-        return Err(IoError::Invalid {
-            message: format!(
-                "{} clusters do not fit the {} cores of a {mesh} mesh",
-                pcn.num_clusters(),
-                mesh.len()
-            ),
-        });
-    }
-    let init = doc.init.unwrap_or_else(|| "hilbert".to_string());
-    if !JOB_INITS.contains(&init.as_str()) {
-        return Err(IoError::Invalid { message: format!("unknown init `{init}`") });
-    }
-    let potential = doc.potential.unwrap_or_else(|| "l2sq".to_string());
-    if !JOB_POTENTIALS.contains(&potential.as_str()) {
-        return Err(IoError::Invalid { message: format!("unknown potential `{potential}`") });
-    }
-    let lambda = doc.lambda.unwrap_or(0.3);
-    if !(lambda > 0.0 && lambda <= 1.0) {
-        return Err(IoError::Invalid {
-            message: format!("lambda must be in (0, 1], got {lambda}"),
-        });
+        return Err(invalid(format!(
+            "{} clusters do not fit the {} cores of a {mesh} mesh",
+            pcn.num_clusters(),
+            mesh.len()
+        )));
     }
     let threads = doc.threads.unwrap_or(0);
-    let threads = usize::try_from(threads).map_err(|_| IoError::Invalid {
-        message: format!("thread count {threads} does not fit this platform"),
-    })?;
+    let threads = usize::try_from(threads)
+        .map_err(|_| invalid(format!("thread count {threads} does not fit this platform")))?;
     if let Some(0) = doc.max_sweeps {
-        return Err(IoError::Invalid { message: "max_sweeps must be positive".into() });
+        return Err(invalid("max_sweeps must be positive".into()));
     }
-    let label = doc.objective.as_deref().unwrap_or("energy");
-    if label == "energy" {
-        for (name, set) in [
-            ("lambda_congestion", doc.lambda_congestion.is_some()),
-            ("lambda_latency", doc.lambda_latency.is_some()),
-        ] {
-            if set {
-                return Err(IoError::Invalid {
-                    message: format!("`{name}` has no effect with objective `energy`"),
-                });
-            }
-        }
-    }
-    if label == "congestion" && doc.lambda_latency.is_some() {
-        return Err(IoError::Invalid {
-            message: "`lambda_latency` has no effect with objective `congestion`; \
-                      use objective `composite`"
-                .into(),
-        });
-    }
-    let objective = Objective::from_parts(
-        label,
-        doc.lambda_congestion.unwrap_or(1.0),
-        doc.lambda_latency.unwrap_or(0.0),
-    )
-    .ok_or_else(|| IoError::Invalid {
-        message: format!("unknown objective `{label}` (energy, congestion, or composite)"),
-    })?;
-    objective.validate().map_err(|e| IoError::Invalid { message: e.to_string() })?;
     if let Some(0) = doc.sim_in_loop {
-        return Err(IoError::Invalid { message: "sim_in_loop must be positive".into() });
+        return Err(invalid("sim_in_loop must be positive".into()));
     }
-    if doc.sim_in_loop.is_some() && objective.is_energy() {
-        return Err(IoError::Invalid {
-            message: "sim_in_loop needs a congestion-aware objective \
-                      (objective `congestion` or `composite`)"
-                .into(),
-        });
+    let config = RunKnobs {
+        init: doc.init.as_deref(),
+        potential: doc.potential.as_deref(),
+        lambda: doc.lambda,
+        seed: doc.seed,
+        threads,
+        board,
+        objective: doc.objective.as_deref(),
+        lambda_congestion: doc.lambda_congestion,
+        lambda_latency: doc.lambda_latency,
+        sim_in_loop: doc.sim_in_loop,
+        ..RunKnobs::default()
     }
+    .resolve(Spelling::JsonKey)
+    .map_err(invalid)?;
     // The heat-derived weight field is not part of a checkpoint, so
     // sim-in-the-loop jobs are never spool-checkpointed.
     let checkpoint_every = match (doc.checkpoint_every, doc.sim_in_loop) {
         (Some(n), Some(_)) if n > 0 => {
-            return Err(IoError::Invalid {
-                message: "sim_in_loop jobs cannot be spool-checkpointed; \
-                          omit checkpoint_every or set it to 0"
+            return Err(invalid(
+                "sim_in_loop jobs cannot be spool-checkpointed; \
+                 omit checkpoint_every or set it to 0"
                     .into(),
-            })
+            ))
         }
         (Some(n), _) => n,
         (None, Some(_)) => 0,
         (None, None) => 4,
     };
-    Ok(JobSpec {
-        pcn,
-        mesh,
-        init,
-        potential,
-        lambda,
-        seed: doc.seed.unwrap_or(42),
-        threads,
-        max_sweeps: doc.max_sweeps,
-        checkpoint_every,
-        board,
-        objective,
-        sim_in_loop: doc.sim_in_loop,
-    })
+    Ok(JobSpec { pcn, mesh, config, max_sweeps: doc.max_sweeps, checkpoint_every })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snnmap_trace::sha256_hex;
 
     const PCN: &str = "pcn v1\nclusters 3\nedge 0 1 2.0\nedge 1 2 1.0\n";
 
@@ -349,15 +239,15 @@ mod tests {
         let spec = parse_job(&minimal("")).unwrap();
         assert_eq!(spec.pcn.num_clusters(), 3);
         assert_eq!(spec.mesh, Mesh::square_for(3).unwrap());
-        assert_eq!(spec.init, "hilbert");
-        assert_eq!(spec.potential, "l2sq");
-        assert_eq!(spec.lambda, 0.3);
-        assert_eq!(spec.seed, 42);
-        assert_eq!(spec.threads, 0);
+        assert_eq!(spec.config.init_name(), "hilbert");
+        assert_eq!(spec.config.potential_name(), "l2sq");
+        assert_eq!(spec.config.lambda, 0.3);
+        assert_eq!(spec.config.seed, 42);
+        assert_eq!(spec.config.threads, 0);
         assert_eq!(spec.max_sweeps, None);
         assert_eq!(spec.checkpoint_every, 4);
-        assert!(spec.objective.is_energy());
-        assert_eq!(spec.sim_in_loop, None);
+        assert!(spec.config.objective.is_energy());
+        assert_eq!(spec.config.sim_in_loop, None);
     }
 
     #[test]
@@ -370,11 +260,9 @@ mod tests {
         .unwrap();
         let back = parse_job(&render_job(&spec)).unwrap();
         assert_eq!(back.mesh, spec.mesh);
-        assert_eq!(back.init, spec.init);
-        assert_eq!(back.potential, spec.potential);
-        assert_eq!(back.lambda, spec.lambda);
-        assert_eq!(back.seed, spec.seed);
-        assert_eq!(back.threads, spec.threads);
+        assert_eq!(back.config, spec.config);
+        assert_eq!(back.config.init_name(), "zigzag");
+        assert_eq!(back.config.potential_name(), "l1");
         assert_eq!(back.max_sweeps, spec.max_sweeps);
         assert_eq!(back.checkpoint_every, spec.checkpoint_every);
         assert_eq!(back.provenance(), spec.provenance());
@@ -385,7 +273,7 @@ mod tests {
     fn provenance_matches_the_cli_formula() {
         let spec = parse_job(&minimal("")).unwrap();
         let meta = spec.provenance();
-        let config = "init=hilbert potential=l2sq lambda=0.3 seed=42 faults=none";
+        let config = "init=hilbert potential=l2sq lambda=0.3 seed=42 faults=none multilevel=off";
         assert_eq!(meta.config_digest, sha256_hex(config.as_bytes()));
         // The PCN digest covers the *canonical* rendering, exactly like
         // `snnmap map --checkpoint-out` digests its parsed input.
@@ -397,12 +285,12 @@ mod tests {
     fn board_jobs_parse_render_and_digest_the_topology() {
         // The mesh derives from the board when omitted.
         let spec = parse_job(&minimal(", \"board\": \"1x2/2x2@64,1024\"")).unwrap();
-        let board = spec.board.clone().expect("board parsed");
+        let board = spec.config.board.clone().expect("board parsed");
         assert_eq!(spec.mesh, board.mesh());
         assert_eq!((spec.mesh.rows(), spec.mesh.cols()), (2, 4));
         // Round trip through render_job preserves the board exactly.
         let back = parse_job(&render_job(&spec)).unwrap();
-        assert_eq!(back.board, spec.board);
+        assert_eq!(back.config.board, spec.config.board);
         assert_eq!(back.provenance(), spec.provenance());
         // An explicit matching mesh is accepted; a disagreeing one is not.
         assert!(parse_job(&minimal(
@@ -421,7 +309,7 @@ mod tests {
         assert_eq!(spec.provenance().pcn_digest, boardless.provenance().pcn_digest);
         // Named presets work too.
         let preset = parse_job(&minimal(", \"board\": \"dynaps:2x2\"")).unwrap();
-        assert!(preset.board.is_some());
+        assert!(preset.config.board.is_some());
         // A malformed spec is a typed error.
         let err = parse_job(&minimal(", \"board\": \"bogus/spec\"")).unwrap_err();
         assert!(matches!(err, IoError::Invalid { .. }), "{err:?}");
@@ -434,25 +322,25 @@ mod tests {
              \"lambda_latency\": 0.5, \"sim_in_loop\": 4",
         ))
         .unwrap();
-        assert_eq!(spec.objective.label(), "composite");
-        assert_eq!(spec.objective.weights(), (1.0, 2.0, 0.5));
-        assert_eq!(spec.sim_in_loop, Some(4));
+        assert_eq!(spec.config.objective.label(), "composite");
+        assert_eq!(spec.config.objective.weights(), (1.0, 2.0, 0.5));
+        assert_eq!(spec.config.sim_in_loop, Some(4));
         // sim_in_loop jobs default to no spool checkpoints.
         assert_eq!(spec.checkpoint_every, 0);
         let back = parse_job(&render_job(&spec)).unwrap();
-        assert_eq!(back.objective, spec.objective);
-        assert_eq!(back.sim_in_loop, spec.sim_in_loop);
+        assert_eq!(back.config.objective, spec.config.objective);
+        assert_eq!(back.config.sim_in_loop, spec.config.sim_in_loop);
         assert_eq!(back.provenance(), spec.provenance());
         // The digest extends the boardless formula append-only, exactly
         // like the CLI's `--objective` family.
         let config = "init=hilbert potential=l2sq lambda=0.3 seed=42 faults=none \
-                      objective=composite lc=2 lt=0.5 reweight=4";
+                      multilevel=off objective=composite lc=2 lt=0.5 reweight=4";
         assert_eq!(spec.provenance().config_digest, sha256_hex(config.as_bytes()));
         // A pure-congestion job digests without the reweight suffix.
         let cong = parse_job(&minimal(", \"objective\": \"congestion\"")).unwrap();
-        assert_eq!(cong.objective.label(), "congestion");
+        assert_eq!(cong.config.objective.label(), "congestion");
         let config = "init=hilbert potential=l2sq lambda=0.3 seed=42 faults=none \
-                      objective=congestion lc=1 lt=0";
+                      multilevel=off objective=congestion lc=1 lt=0";
         assert_eq!(cong.provenance().config_digest, sha256_hex(config.as_bytes()));
         // ...and still spool-checkpoints on the default cadence.
         assert_eq!(cong.checkpoint_every, 4);

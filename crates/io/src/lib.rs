@@ -32,6 +32,10 @@
 //!   (embedded PCN + proposed-method configuration), the body
 //!   `snnmap-serve` accepts on `POST /jobs`.
 //!
+//! [`RunConfig`] is the proposed method's configuration itself — one
+//! knob vocabulary, one validator and one checkpoint provenance formula
+//! for `snnmap map`, `snnmap resume` and the daemon's jobs.
+//!
 //! Every parser treats its input as untrusted: declared sizes are capped
 //! (see [`MAX_MESH_CORES`] / [`MAX_CLUSTERS`]), duplicate declarations
 //! and out-of-range coordinates are typed errors, never panics. JSON
@@ -85,6 +89,7 @@ mod limits;
 mod pcn_format;
 mod pcnb_format;
 mod placement_format;
+mod run_config;
 mod trace_format;
 
 pub use board_format::{parse_board, read_board, render_board, write_board};
@@ -97,7 +102,7 @@ pub use degraded_format::{
 pub use dupkey::reject_duplicate_keys;
 pub use error::IoError;
 pub use fault_format::{parse_faults, read_faults, render_faults, write_faults};
-pub use job_format::{parse_job, render_job, JobSpec, JOB_INITS, JOB_POTENTIALS};
+pub use job_format::{parse_job, render_job, JobSpec};
 pub use limits::{MAX_CLUSTERS, MAX_MESH_CORES};
 pub use pcn_format::{parse_pcn, read_pcn, render_pcn, write_pcn};
 pub use pcnb_format::{
@@ -106,4 +111,5 @@ pub use pcnb_format::{
 pub use placement_format::{
     parse_placement, read_placement, render_placement, write_placement,
 };
+pub use run_config::{RunConfig, RunKnobs, Spelling};
 pub use trace_format::{validate_trace, TraceSummary};

@@ -21,7 +21,9 @@
 //!   before hops) and counts boundary crossings in
 //!   [`NocStats::interchip_traversals`],
 //! * [`PcnTraffic`] — Bernoulli per-flow injection derived from a PCN's
-//!   connection weights and a placement,
+//!   connection weights and a placement, at the [`noc_scale`] injection
+//!   scale over [`REPLAY_CYCLES`] cycles for the seeded replays the CLI
+//!   and the daemon run,
 //! * [`NocReweighter`] — sim-in-the-loop hook feeding simulated router
 //!   heat back into `snnmap-core`'s composite FD objective,
 //! * [`NocStats`] — delivered counts, latency distribution, per-router
@@ -66,4 +68,4 @@ pub use error::NocError;
 pub use reweight::NocReweighter;
 pub use sim::{NocConfig, NocSim, Routing};
 pub use stats::NocStats;
-pub use traffic::PcnTraffic;
+pub use traffic::{noc_scale, PcnTraffic, REPLAY_CYCLES};

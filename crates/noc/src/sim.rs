@@ -163,7 +163,7 @@ impl NocSim {
         }
         let mut sim = Self::new(mesh, config);
         sim.dead = mesh.iter().map(|c| faults.is_dead(c)).collect();
-        sim.next_hop = Some(build_next_hop(mesh, faults));
+        sim.next_hop = Some(build_next_hop(mesh, Some(faults), None));
         Ok(sim)
     }
 
@@ -200,7 +200,7 @@ impl NocSim {
         if let Some(fm) = faults {
             sim.dead = mesh.iter().map(|c| fm.is_dead(c)).collect();
         }
-        sim.next_hop = Some(build_next_hop_board(mesh, faults, board));
+        sim.next_hop = Some(build_next_hop(mesh, faults, Some(board)));
         sim.chip = board.chip_table();
         Ok(sim)
     }
@@ -483,81 +483,22 @@ fn neighbor_coord(mesh: Mesh, from: Coord, out: usize) -> Option<Coord> {
 }
 
 /// Builds the per-destination next-hop table over the healthy subgraph:
-/// one BFS per destination, then a deterministic direction choice per
-/// router — the XY-preferred productive direction when it lies on a
-/// shortest healthy path, else the first distance-decreasing direction in
-/// N/S/W/E order. Every entry strictly decreases the BFS distance, so
-/// fault-aware routes are loop-free by construction.
-fn build_next_hop(mesh: Mesh, faults: &FaultMap) -> Vec<u8> {
+/// a deterministic Dijkstra per destination, then a deterministic
+/// direction choice per router — the XY-preferred productive direction
+/// when it lies on a cost-optimal path, else the first cost-decreasing
+/// direction in N/S/W/E order. Every link costs one hop; on a `board`
+/// an inter-chip link costs `n + 1` instead (more than any possible hop
+/// count), so the lexicographic path cost is `(crossings, hops)` and
+/// routes cross chip boundaries only when no cheaper path exists. Every
+/// entry strictly decreases the distance, so routes are loop-free by
+/// construction.
+fn build_next_hop(mesh: Mesh, faults: Option<&FaultMap>, board: Option<&Board>) -> Vec<u8> {
     let n = mesh.len();
-    let mut table = vec![NH_UNREACHABLE; n * n];
-    let mut dist = vec![u32::MAX; n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for dst_idx in 0..n {
-        let dst = mesh.coord_of_index(dst_idx);
-        if faults.is_dead(dst) {
-            continue;
-        }
-        dist.iter_mut().for_each(|d| *d = u32::MAX);
-        dist[dst_idx] = 0;
-        queue.clear();
-        queue.push_back(dst_idx);
-        while let Some(r) = queue.pop_front() {
-            let here = mesh.coord_of_index(r);
-            for out in 0..4 {
-                let Some(nc) = neighbor_coord(mesh, here, out) else { continue };
-                let q = mesh.index_of(nc);
-                if faults.is_dead(nc) || !faults.link_ok(here, nc) || dist[q] != u32::MAX {
-                    continue;
-                }
-                dist[q] = dist[r] + 1;
-                queue.push_back(q);
-            }
-        }
-        for r in 0..n {
-            if r == dst_idx {
-                table[dst_idx * n + r] = OUT_EJECT as u8;
-                continue;
-            }
-            if dist[r] == u32::MAX {
-                continue;
-            }
-            let here = mesh.coord_of_index(r);
-            for out in preferred_dirs(here, dst) {
-                let Some(nc) = neighbor_coord(mesh, here, out) else { continue };
-                let q = mesh.index_of(nc);
-                if !faults.is_dead(nc)
-                    && faults.link_ok(here, nc)
-                    && dist[q] != u32::MAX
-                    && dist[q] + 1 == dist[r]
-                {
-                    table[dst_idx * n + r] = out as u8;
-                    break;
-                }
-            }
-        }
-    }
-    table
-}
-
-/// Builds the chip-aware next-hop table: a deterministic Dijkstra per
-/// destination over the healthy subgraph with lexicographic
-/// `(inter-chip crossings, hops)` path cost — a crossing is weighted at
-/// `n` (more than any possible hop count), so routes cross chip
-/// boundaries only when no cheaper path exists. Direction choice per
-/// router follows the same XY-preferred order as [`build_next_hop`]
-/// among cost-optimal successors, and every entry strictly decreases the
-/// weighted distance, so routes are loop-free by construction.
-fn build_next_hop_board(mesh: Mesh, faults: Option<&FaultMap>, board: &Board) -> Vec<u8> {
-    let n = mesh.len();
-    let chips = board.chip_table();
-    // Any simple path has < n hops, so weighting a crossing at n makes
-    // one crossing dearer than any number of intra-chip hops.
+    let chips = board.map(Board::chip_table);
     let edge = |a: usize, b: usize| -> u64 {
-        if chips[a] == chips[b] {
-            1
-        } else {
-            n as u64 + 1
+        match &chips {
+            Some(chips) if chips[a] != chips[b] => n as u64 + 1,
+            _ => 1,
         }
     };
     let healthy = |c: Coord| faults.map_or(true, |fm| !fm.is_dead(c));

@@ -7,6 +7,31 @@ use snnmap_model::Pcn;
 
 use crate::NocSim;
 
+/// Simulated cycles per seeded replay of a PCN's traffic, for
+/// sim-in-the-loop reweighting and `snnmap eval`'s NoC columns: long
+/// enough that per-router Bernoulli noise stays small, short enough to
+/// be a rounding error next to FD itself.
+pub const REPLAY_CYCLES: u64 = 256;
+
+/// Injection scale for the seeded replays: the hottest PCN connection
+/// injects with probability 1/4 per cycle, so [`PcnTraffic`]'s
+/// `min(1, ·)` clamp never engages and traversal counts stay
+/// proportional to edge weights. 0.0 for an edgeless PCN, which has no
+/// traffic to replay.
+pub fn noc_scale(pcn: &Pcn) -> f64 {
+    let mut wmax = 0.0f64;
+    for c in 0..pcn.num_clusters() {
+        for (_, w) in pcn.out_edges(c) {
+            wmax = wmax.max(w as f64);
+        }
+    }
+    if wmax > 0.0 {
+        0.25 / wmax
+    } else {
+        0.0
+    }
+}
+
 /// Per-cycle Bernoulli spike injection derived from a PCN and a
 /// placement: each connection `(c_i, c_j)` with traffic weight `w`
 /// becomes a flow from `P(c_i)` to `P(c_j)` injecting a spike with
@@ -81,21 +106,23 @@ impl PcnTraffic {
 
     /// Runs `cycles` cycles of injection + simulation, then drains the
     /// network (up to a generous bound) so every injected spike is
-    /// accounted for.
-    pub fn run(&mut self, sim: &mut NocSim, cycles: u64) {
+    /// accounted for. Returns [`NocSim::drain`]'s verdict: `false` when
+    /// packets are still in flight — a deadlocked network whose stats
+    /// miss the stuck packets.
+    pub fn run(&mut self, sim: &mut NocSim, cycles: u64) -> bool {
         for _ in 0..cycles {
             self.inject_cycle(sim);
             sim.step();
         }
         let bound = 1000 + 10 * cycles * (sim.mesh().rows() as u64 + sim.mesh().cols() as u64);
-        sim.drain(bound);
+        sim.drain(bound)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NocConfig;
+    use crate::{NocConfig, Routing};
     use snnmap_hw::Mesh;
     use snnmap_model::PcnBuilder;
 
@@ -140,6 +167,25 @@ mod tests {
         let mut sim = NocSim::new(p.mesh(), NocConfig::default());
         t.inject_cycle(&mut sim);
         assert_eq!(sim.stats().injected + sim.stats().rejected, 3);
+    }
+
+    #[test]
+    fn run_reports_a_replay_that_does_not_drain() {
+        // The `step_pins.rs` replay: random-minimal routing deadlocks with
+        // packets in flight, XY routing drains.
+        let pcn = snnmap_model::generators::random_pcn(120, 4.0, 5).unwrap();
+        let mesh = Mesh::new(12, 12).unwrap();
+        let coords: Vec<Coord> = mesh.iter().take(120).collect();
+        let p = Placement::from_coords(mesh, &coords).unwrap();
+        for (routing, drains) in [(Routing::Xy, true), (Routing::RandomMinimal, false)] {
+            let config = NocConfig { queue_capacity: 8, routing, seed: 7 };
+            let mut sim = NocSim::new(mesh, config);
+            assert_eq!(PcnTraffic::new(&pcn, &p, 0.05, 3).run(&mut sim, 256), drains);
+            assert_eq!(sim.in_flight() == 0, drains);
+            if !drains {
+                assert_eq!((sim.stats().injected, sim.stats().delivered), (7_260, 4_346));
+            }
+        }
     }
 
     #[test]

@@ -26,16 +26,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use snnmap_core::{
-    par, DegradedPlacement, FdCheckpoint, FdRunOpts, InitialPlacement, Mapper, Potential,
-    RunBudget, StopReason,
-};
-use snnmap_hw::{CostModel, FaultMap};
+use snnmap_core::{par, DegradedPlacement, FdCheckpoint, FdRunOpts, Mapper, RunBudget, StopReason};
+use snnmap_hw::FaultMap;
 use snnmap_io::{
     parse_job, parse_placement, read_checkpoint, reject_duplicate_keys, render_placement,
     write_checkpoint, IoError, JobSpec,
 };
-use snnmap_noc::NocReweighter;
+use snnmap_noc::{noc_scale, NocReweighter, REPLAY_CYCLES};
 use snnmap_trace::{sha256_hex, NoopSink, ProgressSink};
 
 use crate::http::{self, Request};
@@ -488,12 +485,7 @@ fn execute_job(shared: &Shared, job: &Job) {
     let _ = shared.spool.write_state(job.id, "running", None);
 
     let spec = &job.spec;
-    let Some(mapper) = job_mapper(spec) else {
-        // parse_job validated the vocabulary, so this is unreachable;
-        // fail the job rather than panic the worker if it ever isn't.
-        fail_job(shared, job, "unknown init or potential in spooled spec");
-        return;
-    };
+    let mapper = spec.config.mapper();
 
     let meta = spec.provenance();
     let cp_path = shared.spool.checkpoint_path(job.id);
@@ -502,7 +494,7 @@ fn execute_job(shared: &Shared, job: &Job) {
     // provenance check, applied automatically. Sim-in-the-loop jobs are
     // never checkpointed (the heat-derived weight field is not part of
     // a checkpoint), so they always start from scratch.
-    let resume_from = if spec.sim_in_loop.is_none() && cp_path.is_file() {
+    let resume_from = if spec.config.sim_in_loop.is_none() && cp_path.is_file() {
         match read_checkpoint(&cp_path) {
             Ok((cp, on_disk)) if on_disk == meta && cp.mesh == spec.mesh => Some(cp),
             _ => None,
@@ -528,9 +520,10 @@ fn execute_job(shared: &Shared, job: &Job) {
     // evolving placement every `sim_in_loop` sweeps and re-weights the
     // hot routers — the CLI's `--sim-in-loop` hook. An edgeless PCN has
     // no traffic; the engine then falls back to its own heat estimate.
-    let mut sim_hook = spec.sim_in_loop.and_then(|_| {
+    let mut sim_hook = spec.config.sim_in_loop.and_then(|_| {
         let scale = noc_scale(&spec.pcn);
-        (scale > 0.0).then(|| NocReweighter::new(&spec.pcn, scale, SIM_CYCLES, spec.seed))
+        (scale > 0.0)
+            .then(|| NocReweighter::new(&spec.pcn, scale, REPLAY_CYCLES, spec.config.seed))
     });
     let mut run_opts = FdRunOpts {
         budget: RunBudget {
@@ -541,7 +534,7 @@ fn execute_job(shared: &Shared, job: &Job) {
         checkpoint_every: (spec.checkpoint_every > 0).then_some(spec.checkpoint_every),
         ..FdRunOpts::default()
     };
-    if spec.sim_in_loop.is_none() {
+    if spec.config.sim_in_loop.is_none() {
         // The engine refuses a checkpoint writer alongside reweighting;
         // `parse_job` already pinned `checkpoint_every` to 0 for these
         // jobs, so no periodic flush is lost by skipping the writer.
@@ -760,70 +753,6 @@ fn heartbeat_pass(shared: &Shared) {
     }
 }
 
-/// Simulated cycles per sim-in-the-loop NoC run — the `snnmap map
-/// --sim-in-loop` constant, so a job produces the same placement as the
-/// CLI invocation it mirrors.
-const SIM_CYCLES: u64 = 256;
-
-/// Injection scale for the seeded NoC replays (the CLI's formula): the
-/// hottest PCN connection injects with probability 1/4 per cycle, so
-/// traversal counts stay proportional to edge weights. 0.0 for an
-/// edgeless PCN, which has no traffic to replay.
-fn noc_scale(pcn: &snnmap_model::Pcn) -> f64 {
-    let mut wmax = 0.0f64;
-    for c in 0..pcn.num_clusters() {
-        for (_, w) in pcn.out_edges(c) {
-            wmax = wmax.max(w as f64);
-        }
-    }
-    if wmax > 0.0 {
-        0.25 / wmax
-    } else {
-        0.0
-    }
-}
-
-fn job_init(spec: &JobSpec) -> Option<InitialPlacement> {
-    Some(match spec.init.as_str() {
-        "hilbert" => InitialPlacement::Hilbert,
-        "zigzag" => InitialPlacement::ZigZag,
-        "circle" => InitialPlacement::Circle,
-        "serpentine" => InitialPlacement::Serpentine,
-        "random" => InitialPlacement::Random(spec.seed),
-        _ => return None,
-    })
-}
-
-fn job_potential(spec: &JobSpec) -> Option<Potential> {
-    Some(match spec.potential.as_str() {
-        "l1" => Potential::L1,
-        "l1sq" => Potential::L1Squared,
-        "l2sq" => Potential::L2Squared,
-        "energy" => Potential::energy_model(CostModel::paper_target()),
-        _ => return None,
-    })
-}
-
-/// Builds the mapper a job's spec describes (board-aware when the spec
-/// carries one); `None` for an unknown init or potential name.
-fn job_mapper(spec: &JobSpec) -> Option<Mapper> {
-    let mut builder = Mapper::builder()
-        .initial_placement(job_init(spec)?)
-        .potential(job_potential(spec)?)
-        .lambda(spec.lambda)
-        .threads(spec.threads);
-    if let Some(board) = &spec.board {
-        builder = builder.board(board.clone());
-    }
-    if !spec.objective.is_energy() {
-        builder = builder.objective(spec.objective);
-    }
-    if let Some(every) = spec.sim_in_loop {
-        builder = builder.reweight_every(every);
-    }
-    Some(builder.build())
-}
-
 /// Halo radius (in hops) around evacuated clusters the chip-repair FD
 /// pass may touch.
 const REPAIR_RADIUS: u16 = 2;
@@ -843,7 +772,7 @@ fn repair_chip(
     previous: &FaultMap,
     chip: u32,
 ) -> Result<(FaultMap, snnmap_core::RepairReport), String> {
-    let board = spec.board.as_ref().ok_or("job has no board")?;
+    let board = spec.config.board.as_ref().ok_or("job has no board")?;
     let mut current = previous.clone();
     current.kill_chip(board, chip).map_err(|e| e.to_string())?;
     let budget = RunBudget { max_sweeps: Some(REPAIR_SWEEPS), ..RunBudget::default() };
@@ -881,10 +810,10 @@ struct ChipRepair {
 /// performs no moves (repair is idempotent).
 fn apply_chip_fault(shared: &Shared, job: &Job, chip: u32) -> Result<ChipRepair, String> {
     let _gate = job.repair_lock();
-    let Some(board) = job.spec.board.clone() else {
+    let Some(board) = job.spec.config.board.clone() else {
         return Err("job has no board".to_string());
     };
-    let mapper = job_mapper(&job.spec).ok_or("unknown init or potential in spooled spec")?;
+    let mapper = job.spec.config.mapper();
     let (text, previous) = job.with_inner(|i| (i.placement_json.clone(), i.faults.clone()));
     let text = text.ok_or("job has no placement")?;
     let mut placement = parse_placement(&text).map_err(|e| e.to_string())?;
@@ -1065,7 +994,7 @@ fn post_chip_fault(shared: &Shared, req: &Request, stream: &mut TcpStream) -> st
     let Some(job) = lock(&shared.jobs).get(&doc.id).cloned() else {
         return no_such_job(stream, doc.id);
     };
-    let Some(board) = &job.spec.board else {
+    let Some(board) = &job.spec.config.board else {
         return http::respond_error(
             stream,
             409,
@@ -1192,9 +1121,9 @@ fn get_job(shared: &Shared, id: u64, stream: &mut TcpStream) -> std::io::Result<
         "state": state.as_str(),
         "clusters": job.spec.pcn.num_clusters(),
         "mesh": format!("{}x{}", job.spec.mesh.rows(), job.spec.mesh.cols()),
-        "board": opt_value(job.spec.board.as_ref().map(|b| b.to_string())),
-        "objective": job.spec.objective.label(),
-        "sim_in_loop": opt_value(job.spec.sim_in_loop),
+        "board": opt_value(job.spec.config.board.as_ref().map(|b| b.to_string())),
+        "objective": job.spec.config.objective.label(),
+        "sim_in_loop": opt_value(job.spec.config.sim_in_loop),
         "sweeps": snap.sweeps,
         "swaps": snap.swaps,
         "energy": opt_value(snap.energy),
@@ -1278,6 +1207,7 @@ fn opt_value<T: serde::Serialize>(v: Option<T>) -> serde_json::Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snnmap_core::{InitialPlacement, Potential};
     use snnmap_io::render_pcn;
     use snnmap_model::generators::random_pcn;
 
@@ -1435,7 +1365,7 @@ mod tests {
         let (status, placement) = request(addr, "GET", &format!("/jobs/{id}/placement"), "");
         assert_eq!(status, 200);
         let mesh = snnmap_hw::Mesh::square_for(36).unwrap();
-        let mut hook = NocReweighter::new(&pcn, noc_scale(&pcn), SIM_CYCLES, 42);
+        let mut hook = NocReweighter::new(&pcn, noc_scale(&pcn), REPLAY_CYCLES, 42);
         let mut opts = FdRunOpts {
             budget: RunBudget { max_sweeps: Some(8), ..RunBudget::default() },
             ..FdRunOpts::default()
