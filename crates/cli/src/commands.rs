@@ -957,6 +957,13 @@ fn noc_prometheus(noc: &NocEval) -> String {
             "Simulated M_mc in analytic congestion-map units.",
             noc.sim_max_congestion,
         ),
+        (
+            "noc_drained",
+            "1 when the replay delivered every injected packet, 0 when packets stayed stuck.",
+            f64::from(u8::from(noc.drained)),
+        ),
+        ("noc_injected", "Packets the simulated replay injected.", noc.injected as f64),
+        ("noc_delivered", "Packets the simulated replay delivered.", noc.delivered as f64),
     ] {
         prom.header(name, "gauge", help);
         prom.sample(name, &[], value);

@@ -258,6 +258,12 @@ mod tests {
             out.contains("NoC replay did not drain: 7135 of 10156 injected packets delivered"),
             "{out}"
         );
+        let page = run(&sv(&["eval", pcn_s, placement_s, "--format", "prometheus"])).unwrap();
+        for gauge in
+            ["snnmap_noc_drained 0\n", "snnmap_noc_injected 10156\n", "snnmap_noc_delivered 7135\n"]
+        {
+            assert!(page.contains(gauge), "missing {gauge} in:\n{page}");
+        }
     }
 
     #[test]
@@ -283,6 +289,7 @@ mod tests {
             "snnmap_noc_detour_hops 0",
             "snnmap_noc_hottest_traversals ",
             "snnmap_noc_sim_max_congestion ",
+            "snnmap_noc_drained 1\n",
         ] {
             assert!(page.contains(gauge), "missing {gauge} in:\n{page}");
         }

@@ -1795,7 +1795,8 @@ impl<'a> Engine<'a> {
     /// argmax router index)` when the cost field actually changed —
     /// every cached tension is stale after that.
     fn apply_reweight(&mut self, heat: &[u64]) -> Option<(u64, usize)> {
-        self.obj.as_mut().and_then(|st| st.apply_reweight(heat))
+        let (pcn, pos, mesh_x, mesh_y) = (self.pcn, &self.pos, &self.mesh_x, &self.mesh_y);
+        self.obj.as_mut().and_then(|st| st.apply_reweight(heat, pcn, pos, mesh_x, mesh_y))
     }
 
     /// Commits the engine's occupancy back into the caller's placement

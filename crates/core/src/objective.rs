@@ -250,15 +250,32 @@ impl IncrementalCongestion {
     }
 }
 
-/// Engine-side state of a non-energy objective: λ weights, the
-/// delta-maintained congestion map, the (optional) router heat field,
-/// and the board geometry for inter-chip weighting.
+/// Engine-side state of a non-energy objective: the λ-weighted edge
+/// cost terms, the delta-maintained congestion map, and every directed
+/// edge's cached cost at the current positions.
 #[derive(Debug, Clone)]
 pub(crate) struct ObjectiveState {
     pub(crate) energy_w: f64,
+    pub(crate) cong: IncrementalCongestion,
+    terms: EdgeTerms,
+    ids: EdgeIds,
+    /// `cost[e]`: `terms.edge_cost` of directed edge `e` (see
+    /// [`EdgeIds`]) at the current positions. `edge_cost` is a pure
+    /// function of the endpoints, the weight and the static fields, so a
+    /// cached value bit-equals a fresh one until an endpoint moves or
+    /// the heat field changes — exactly when `apply_swap` and
+    /// `apply_reweight` rewrite it.
+    cost: Vec<f64>,
+}
+
+/// The λ-weighted non-energy cost of one directed edge, and the static
+/// fields it reads.
+#[derive(Debug, Clone)]
+struct EdgeTerms {
     lambda_c: f64,
     lambda_t: f64,
-    pub(crate) cong: IncrementalCongestion,
+    /// Mesh columns (row-major router index `x · cols + y`).
+    cols: usize,
     /// Per-router congestion cost multiplier; `None` = uniform 1.0 (the
     /// O(1) Manhattan fast path applies).
     weight: Option<Vec<f64>>,
@@ -268,31 +285,7 @@ pub(crate) struct ObjectiveState {
     chip_cols: u16,
 }
 
-impl ObjectiveState {
-    /// Builds the state for `objective` over the placement `coords`
-    /// (cluster-indexed positions on a `rows × cols` mesh). `chip` is
-    /// the board's chip tile size when mapping multi-chip hardware.
-    pub(crate) fn new(
-        objective: Objective,
-        pcn: &Pcn,
-        coords: &[(u16, u16)],
-        rows: u16,
-        cols: u16,
-        chip: Option<(u16, u16)>,
-    ) -> Self {
-        let (energy_w, lambda_c, lambda_t) = objective.weights();
-        let (chip_rows, chip_cols) = chip.unwrap_or((0, 0));
-        Self {
-            energy_w,
-            lambda_c,
-            lambda_t,
-            cong: IncrementalCongestion::build(pcn, coords, rows, cols),
-            weight: None,
-            chip_rows,
-            chip_cols,
-        }
-    }
-
+impl EdgeTerms {
     /// `1 + INTERCHIP_WEIGHT · chip-boundary crossings` of the edge
     /// `s → t` (1.0 when boardless).
     fn boardmul(&self, s: (u16, u16), t: (u16, u16)) -> f64 {
@@ -312,7 +305,7 @@ impl ObjectiveState {
         let Some(wf) = &self.weight else {
             return (s.0.abs_diff(t.0) as usize + s.1.abs_diff(t.1) as usize + 1) as f64;
         };
-        let cols = self.cong.cols;
+        let cols = self.cols;
         let mut acc = 0.0;
         for_each_route_expe(s.into(), t.into(), |x, y, v| acc += wf[x * cols + y] * v);
         acc
@@ -332,12 +325,95 @@ impl ObjectiveState {
         }
         cost
     }
+}
+
+/// Directed-edge ids: edge `e` is the `e`-th connection in out-edge
+/// order (cluster by cluster, each cluster's targets in
+/// [`Pcn::out_edges`] order).
+#[derive(Debug, Clone)]
+struct EdgeIds {
+    /// `out_start[c]..out_start[c + 1]`: ids of `c`'s out-edges.
+    out_start: Vec<u32>,
+    /// `in_edge[in_start[c]..in_start[c + 1]]`: ids of `c`'s in-edges,
+    /// in [`Pcn::in_edges`] order.
+    in_start: Vec<u32>,
+    in_edge: Vec<u32>,
+}
+
+impl EdgeIds {
+    fn new(pcn: &Pcn) -> Self {
+        let n = pcn.num_clusters();
+        let id = |v: u64| u32::try_from(v).expect("edge ids exceed u32");
+        let (mut out_start, mut in_start) = (vec![0u32], vec![0u32]);
+        for c in 0..n {
+            let ins = pcn.in_degree(c);
+            out_start.push(out_start[c as usize] + id(pcn.degree(c) - ins));
+            in_start.push(in_start[c as usize] + id(ins));
+        }
+        // Visiting targets in ascending order meets each source's
+        // out-edges in ascending target order, which is their id order.
+        let mut next = out_start.clone();
+        let mut in_edge = Vec::with_capacity(pcn.num_connections() as usize);
+        for t in 0..n {
+            for (k, _) in pcn.in_edges(t) {
+                in_edge.push(next[k as usize]);
+                next[k as usize] += 1;
+            }
+        }
+        Self { out_start, in_start, in_edge }
+    }
+}
+
+impl ObjectiveState {
+    /// Builds the state for `objective` over the placement `coords`
+    /// (cluster-indexed positions on a `rows × cols` mesh). `chip` is
+    /// the board's chip tile size when mapping multi-chip hardware.
+    pub(crate) fn new(
+        objective: Objective,
+        pcn: &Pcn,
+        coords: &[(u16, u16)],
+        rows: u16,
+        cols: u16,
+        chip: Option<(u16, u16)>,
+    ) -> Self {
+        let (energy_w, lambda_c, lambda_t) = objective.weights();
+        let (chip_rows, chip_cols) = chip.unwrap_or((0, 0));
+        let terms = EdgeTerms {
+            lambda_c,
+            lambda_t,
+            cols: cols as usize,
+            weight: None,
+            chip_rows,
+            chip_cols,
+        };
+        let mut st = Self {
+            energy_w,
+            cong: IncrementalCongestion::build(pcn, coords, rows, cols),
+            terms,
+            ids: EdgeIds::new(pcn),
+            cost: Vec::with_capacity(pcn.num_connections() as usize),
+        };
+        st.rebuild_costs(pcn, |c| coords[c as usize]);
+        st
+    }
+
+    /// Recomputes every cached edge cost at the positions `coord(c)`.
+    fn rebuild_costs(&mut self, pcn: &Pcn, coord: impl Fn(u32) -> (u16, u16)) {
+        self.cost.clear();
+        for c in 0..pcn.num_clusters() {
+            let s = coord(c);
+            for (t, w) in pcn.out_edges(c) {
+                self.cost.push(self.terms.edge_cost(s, coord(t), f64::from(w)));
+            }
+        }
+    }
 
     /// Decrease of the non-energy terms if the clusters at positions
     /// `a` and `b` swap (`cu` at `a`, `cv` at `b`; either may be
     /// `u32::MAX` for an empty core). `pos` must reflect the *pre-swap*
     /// assignment for clusters other than `cu`/`cv` — which is the same
     /// pre- and post-swap, so both call sites may use the live table.
+    /// Each edge's pre-swap cost comes from the cache.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn swap_gain(
         &self,
@@ -351,16 +427,17 @@ impl ObjectiveState {
         cv: u32,
     ) -> f64 {
         let mut gain = 0.0;
-        visit_swap_edges(pcn, pos, mesh_x, mesh_y, a, b, cu, cv, |bs, bt, afs, aft, w| {
-            gain += self.edge_cost(bs, bt, w) - self.edge_cost(afs, aft, w);
+        visit_swap_edges(pcn, &self.ids, pos, mesh_x, mesh_y, a, b, cu, cv, |e, _, _, afs, aft, w| {
+            gain += self.cost[e] - self.terms.edge_cost(afs, aft, w);
         });
         gain
     }
 
-    /// Folds an applied swap into the incremental congestion map. Call
-    /// *after* the engine's position tables are updated; `a`/`b` are the
-    /// pre-swap coordinates of `cu`/`cv` (neighbour positions are
-    /// untouched by a swap, so the live table serves for them).
+    /// Folds an applied swap into the incremental congestion map and the
+    /// cost cache. Call *after* the engine's position tables are
+    /// updated; `a`/`b` are the pre-swap coordinates of `cu`/`cv`
+    /// (neighbour positions are untouched by a swap, so the live table
+    /// serves for them).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply_swap(
         &mut self,
@@ -373,10 +450,11 @@ impl ObjectiveState {
         cu: u32,
         cv: u32,
     ) {
-        let cong = &mut self.cong;
-        visit_swap_edges(pcn, pos, mesh_x, mesh_y, a, b, cu, cv, |bs, bt, afs, aft, w| {
+        let Self { cong, terms, ids, cost, .. } = self;
+        visit_swap_edges(pcn, ids, pos, mesh_x, mesh_y, a, b, cu, cv, |e, bs, bt, afs, aft, w| {
             cong.remove_edge(bs, bt, w);
             cong.add_edge(afs, aft, w);
+            cost[e] = terms.edge_cost(afs, aft, w);
         });
     }
 
@@ -394,18 +472,19 @@ impl ObjectiveState {
             let p = pos[c as usize] as usize;
             (mesh_x[p], mesh_y[p])
         };
+        let terms = &self.terms;
         let (mut cong, mut lat) = (0.0, 0.0);
         for c in 0..pcn.num_clusters() {
             let s = coord(c);
             for (t, w) in pcn.out_edges(c) {
                 let t = coord(t);
-                let wm = f64::from(w) * self.boardmul(s, t);
-                if self.lambda_c != 0.0 {
-                    cong += self.lambda_c * wm * self.rect_cost(s, t);
+                let wm = f64::from(w) * terms.boardmul(s, t);
+                if terms.lambda_c != 0.0 {
+                    cong += terms.lambda_c * wm * terms.rect_cost(s, t);
                 }
-                if self.lambda_t != 0.0 {
+                if terms.lambda_t != 0.0 {
                     let d = (s.0.abs_diff(t.0) + s.1.abs_diff(t.1)) as f64;
-                    lat += self.lambda_t * wm * d * d;
+                    lat += terms.lambda_t * wm * d * d;
                 }
             }
         }
@@ -413,10 +492,18 @@ impl ObjectiveState {
     }
 
     /// Installs a router heat field: cost multiplier
-    /// `1 + REWEIGHT_GAIN · heat[r] / max(heat)` per router. All-zero
-    /// heat keeps the current field. Returns `(max_heat, argmax index)`
-    /// when the field changed.
-    pub(crate) fn apply_reweight(&mut self, heat: &[u64]) -> Option<(u64, usize)> {
+    /// `1 + REWEIGHT_GAIN · heat[r] / max(heat)` per router, and
+    /// recomputes every cached edge cost under it at the positions
+    /// `pos`. All-zero heat keeps the current field and cache. Returns
+    /// `(max_heat, argmax index)` when the field changed.
+    pub(crate) fn apply_reweight(
+        &mut self,
+        heat: &[u64],
+        pcn: &Pcn,
+        pos: &[u32],
+        mesh_x: &[u16],
+        mesh_y: &[u16],
+    ) -> Option<(u64, usize)> {
         let (mut max, mut arg) = (0u64, 0usize);
         for (i, &h) in heat.iter().enumerate() {
             if h > max {
@@ -427,20 +514,25 @@ impl ObjectiveState {
         if max == 0 {
             return None;
         }
-        self.weight =
+        self.terms.weight =
             Some(heat.iter().map(|&h| 1.0 + REWEIGHT_GAIN * (h as f64 / max as f64)).collect());
+        self.rebuild_costs(pcn, |c| {
+            let p = pos[c as usize] as usize;
+            (mesh_x[p], mesh_y[p])
+        });
         Some((max, arg))
     }
 }
 
 /// Enumerates every directed PCN edge whose cost can change when the
 /// clusters `cu` (at `a`) and `cv` (at `b`) swap, calling
-/// `f(before_src, before_dst, after_src, after_dst, weight)` exactly
-/// once per edge. Edges between `cu` and `cv` move both endpoints;
-/// self-loops are visited once (in the out pass).
+/// `f(edge_id, before_src, before_dst, after_src, after_dst, weight)`
+/// exactly once per edge. Edges between `cu` and `cv` move both
+/// endpoints; self-loops are visited once (in the out pass).
 #[allow(clippy::too_many_arguments)]
 fn visit_swap_edges(
     pcn: &Pcn,
+    ids: &EdgeIds,
     pos: &[u32],
     mesh_x: &[u16],
     mesh_y: &[u16],
@@ -448,7 +540,7 @@ fn visit_swap_edges(
     b: (u16, u16),
     cu: u32,
     cv: u32,
-    mut f: impl FnMut((u16, u16), (u16, u16), (u16, u16), (u16, u16), f64),
+    mut f: impl FnMut(usize, (u16, u16), (u16, u16), (u16, u16), (u16, u16), f64),
 ) {
     const EMPTY: u32 = u32::MAX;
     let coord = |k: u32| {
@@ -465,29 +557,31 @@ fn visit_swap_edges(
             coord(k)
         }
     };
+    let out_ids = |c: u32| ids.out_start[c as usize] as usize..;
+    let in_ids = |c: u32| &ids.in_edge[ids.in_start[c as usize] as usize..];
     if cu != EMPTY {
-        for (k, w) in pcn.out_edges(cu) {
-            f(end(cu, true), end(k, true), end(cu, false), end(k, false), f64::from(w));
+        for (e, (k, w)) in out_ids(cu).zip(pcn.out_edges(cu)) {
+            f(e, end(cu, true), end(k, true), end(cu, false), end(k, false), f64::from(w));
         }
-        for (k, w) in pcn.in_edges(cu) {
+        for (&e, (k, w)) in in_ids(cu).iter().zip(pcn.in_edges(cu)) {
             if k == cu {
                 continue; // self-loop already visited in the out pass
             }
-            f(end(k, true), end(cu, true), end(k, false), end(cu, false), f64::from(w));
+            f(e as usize, end(k, true), end(cu, true), end(k, false), end(cu, false), f64::from(w));
         }
     }
     if cv != EMPTY {
-        for (k, w) in pcn.out_edges(cv) {
+        for (e, (k, w)) in out_ids(cv).zip(pcn.out_edges(cv)) {
             if k == cu {
                 continue; // cu↔cv edges handled in the cu pass
             }
-            f(end(cv, true), end(k, true), end(cv, false), end(k, false), f64::from(w));
+            f(e, end(cv, true), end(k, true), end(cv, false), end(k, false), f64::from(w));
         }
-        for (k, w) in pcn.in_edges(cv) {
+        for (&e, (k, w)) in in_ids(cv).iter().zip(pcn.in_edges(cv)) {
             if k == cv || k == cu {
                 continue;
             }
-            f(end(k, true), end(cv, true), end(k, false), end(cv, false), f64::from(w));
+            f(e as usize, end(k, true), end(cv, true), end(k, false), end(cv, false), f64::from(w));
         }
     }
 }
@@ -517,6 +611,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Engine-style position tables placing cluster `c` at `coords[c]`:
+    /// position `c` holds cluster `c`.
+    fn tables(coords: &[(u16, u16)]) -> (Vec<u32>, Vec<u16>, Vec<u16>) {
+        let pos = (0..coords.len() as u32).collect();
+        (pos, coords.iter().map(|c| c.0).collect(), coords.iter().map(|c| c.1).collect())
     }
 
     proptest! {
@@ -550,13 +651,117 @@ mod tests {
 
             let objective = Objective::Congestion { lambda_c: 1.0 };
             let mut st = ObjectiveState::new(objective, &pcn, &coords, 10, 10, None);
-            st.apply_reweight(&heat);
-            let wf = st.weight.clone().expect("nonzero heat installs a field");
+            let (pos, mesh_x, mesh_y) = tables(&coords);
+            st.apply_reweight(&heat, &pcn, &pos, &mesh_x, &mesh_y);
+            let wf = st.terms.weight.clone().expect("nonzero heat installs a field");
             for (f, t, _) in pcn.iter_edges() {
                 let (s, t) = (coords[f as usize], coords[t as usize]);
                 let mut cost = 0.0;
                 oracle_walk(s, t, |x, y, v| cost += wf[x * 10 + y] * v);
-                prop_assert_eq!(st.rect_cost(s, t).to_bits(), cost.to_bits());
+                prop_assert_eq!(st.terms.rect_cost(s, t).to_bits(), cost.to_bits());
+            }
+        }
+    }
+
+    /// The uncached swap gain: both sides of every visited edge costed
+    /// afresh, summed in visit order.
+    #[allow(clippy::too_many_arguments)]
+    fn uncached_swap_gain(
+        st: &ObjectiveState,
+        pcn: &Pcn,
+        pos: &[u32],
+        mesh_x: &[u16],
+        mesh_y: &[u16],
+        a: (u16, u16),
+        b: (u16, u16),
+        cu: u32,
+        cv: u32,
+    ) -> f64 {
+        let mut gain = 0.0;
+        visit_swap_edges(pcn, &st.ids, pos, mesh_x, mesh_y, a, b, cu, cv, |_, bs, bt, afs, aft, w| {
+            gain += st.terms.edge_cost(bs, bt, w) - st.terms.edge_cost(afs, aft, w);
+        });
+        gain
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random swap sequences (empty cores included) with reweights in
+        /// between: after every step each cached edge cost bit-equals a
+        /// fresh `edge_cost`, and every `swap_gain` bit-equals the
+        /// uncached sum.
+        #[test]
+        fn cached_edge_costs_stay_exact(
+            edges in prop::collection::vec((0u32..20, 0u32..20, 0.1f32..10.0), 1..80),
+            order in prop::collection::vec(any::<u32>(), 20),
+            lambda_c in 0.05f64..3.0,
+            lambda_t in prop_oneof![Just(0.0), 0.01f64..2.0],
+            board in 0u8..3,
+            steps in prop::collection::vec((0usize..30, 0usize..30, 0u8..8), 1..60),
+            heats in prop::collection::vec(prop::collection::vec(0u64..1000, 30), 8),
+        ) {
+            let (rows, cols) = (5u16, 6u16);
+            let chip = [None, Some((2, 3)), Some((5, 2))][usize::from(board)];
+            let mut b = PcnBuilder::new();
+            for _ in 0..20 {
+                b.add_cluster(1, 1);
+            }
+            for &(f, t, w) in &edges {
+                b.add_edge(f, t, w).unwrap();
+            }
+            let pcn = b.build().unwrap();
+            // Position k is (k / cols, k % cols); clusters take the first
+            // 20 positions of a seeded shuffle, 10 cores stay empty.
+            let mut cells: Vec<u32> = (0..30).collect();
+            cells.sort_by_key(|&k| (order[k as usize % 20].rotate_left(k), k));
+            let mut pos: Vec<u32> = cells[..20].to_vec();
+            let mut occ = [u32::MAX; 30];
+            for (c, &k) in pos.iter().enumerate() {
+                occ[k as usize] = c as u32;
+            }
+            let mesh_x: Vec<u16> = (0..30u16).map(|k| k / cols).collect();
+            let mesh_y: Vec<u16> = (0..30u16).map(|k| k % cols).collect();
+            let xy = |k: usize| (mesh_x[k], mesh_y[k]);
+            let coords: Vec<(u16, u16)> = pos.iter().map(|&k| xy(k as usize)).collect();
+            let objective = Objective::Composite { lambda_c, lambda_t };
+            let mut st = ObjectiveState::new(objective, &pcn, &coords, rows, cols, chip);
+            for (step, &(p, q, kind)) in steps.iter().enumerate() {
+                if kind == 0 {
+                    // Every eighth step reweights; some heat fields are all zero.
+                    let heat = &heats[step % heats.len()];
+                    let heat = if heat[0] < 100 { vec![0; 30] } else { heat.clone() };
+                    let changed = st.apply_reweight(&heat, &pcn, &pos, &mesh_x, &mesh_y);
+                    prop_assert_eq!(changed.is_some(), heat.iter().any(|&h| h > 0));
+                } else {
+                    let (cu, cv) = (occ[p], occ[q]);
+                    if p == q || (cu == u32::MAX && cv == u32::MAX) {
+                        continue;
+                    }
+                    let (a, b) = (xy(p), xy(q));
+                    let gain = st.swap_gain(&pcn, &pos, &mesh_x, &mesh_y, a, b, cu, cv);
+                    let want =
+                        uncached_swap_gain(&st, &pcn, &pos, &mesh_x, &mesh_y, a, b, cu, cv);
+                    prop_assert_eq!(gain.to_bits(), want.to_bits());
+                    occ.swap(p, q);
+                    if cu != u32::MAX {
+                        pos[cu as usize] = q as u32;
+                    }
+                    if cv != u32::MAX {
+                        pos[cv as usize] = p as u32;
+                    }
+                    st.apply_swap(&pcn, &pos, &mesh_x, &mesh_y, a, b, cu, cv);
+                }
+                prop_assert_eq!(st.cost.len(), pcn.num_connections() as usize);
+                for (e, (f, t, w)) in pcn.iter_edges().enumerate() {
+                    let fresh = st.terms.edge_cost(
+                        xy(pos[f as usize] as usize),
+                        xy(pos[t as usize] as usize),
+                        f64::from(w),
+                    );
+                    let cached = st.cost[e].to_bits();
+                    prop_assert_eq!(cached, fresh.to_bits(), "edge {} step {}", e, step);
+                }
             }
         }
     }
@@ -704,11 +909,14 @@ mod tests {
             Some((2, 2)),
         );
         // (0,0) -> (0,3) crosses one chip column boundary.
-        let f = flat.edge_cost((0, 0), (0, 3), 1.0);
-        let b = board.edge_cost((0, 0), (0, 3), 1.0);
+        let f = flat.terms.edge_cost((0, 0), (0, 3), 1.0);
+        let b = board.terms.edge_cost((0, 0), (0, 3), 1.0);
         assert!((b - f * (1.0 + INTERCHIP_WEIGHT)).abs() < 1e-12, "{b} vs {f}");
         // An intra-chip edge costs the same either way.
-        assert_eq!(flat.edge_cost((0, 0), (1, 1), 1.0), board.edge_cost((0, 0), (1, 1), 1.0));
+        assert_eq!(
+            flat.terms.edge_cost((0, 0), (1, 1), 1.0),
+            board.terms.edge_cost((0, 0), (1, 1), 1.0)
+        );
     }
 
     #[test]
@@ -723,13 +931,14 @@ mod tests {
             2,
             None,
         );
-        let uniform = st.rect_cost((0, 0), (1, 1));
+        let uniform = st.terms.rect_cost((0, 0), (1, 1));
         assert_eq!(uniform, 3.0); // manhattan + 1 fast path
-        assert!(st.apply_reweight(&[0, 0, 0, 0]).is_none());
-        let (max, arg) = st.apply_reweight(&[0, 8, 0, 4]).unwrap();
+        let (pos, mesh_x, mesh_y) = tables(&coords);
+        assert!(st.apply_reweight(&[0, 0, 0, 0], &pcn, &pos, &mesh_x, &mesh_y).is_none());
+        let (max, arg) = st.apply_reweight(&[0, 8, 0, 4], &pcn, &pos, &mesh_x, &mesh_y).unwrap();
         assert_eq!((max, arg), (8, 1));
         // Router (0,1) now costs 1 + GAIN, (1,1) costs 1 + GAIN/2.
-        let weighted = st.rect_cost((0, 0), (1, 1));
+        let weighted = st.terms.rect_cost((0, 0), (1, 1));
         assert!(weighted > uniform, "{weighted} vs {uniform}");
     }
 }

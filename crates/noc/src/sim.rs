@@ -18,6 +18,8 @@ const SOUTH: usize = 2; // from x+1
 const WEST: usize = 3; // from y−1
 const EAST: usize = 4; // from y+1
 const NUM_PORTS: usize = 5;
+/// All input ports of a request mask.
+const PORT_MASK: u32 = (1 << NUM_PORTS) - 1;
 
 /// Output directions (EJECT delivers to the bound core).
 const OUT_NORTH: usize = 0; // toward x−1
@@ -75,7 +77,7 @@ struct Packet {
 struct Router {
     inputs: [VecDeque<Packet>; NUM_PORTS],
     /// Round-robin arbitration pointer per output.
-    rr: [usize; NUM_OUTS],
+    rr: [u8; NUM_OUTS],
 }
 
 /// A cycle-driven simulator of the paper's hardware model (§3.1): a 2D
@@ -91,6 +93,8 @@ struct Router {
 #[derive(Debug)]
 pub struct NocSim {
     mesh: Mesh,
+    /// `coords[r]`: router `r`'s mesh coordinate (row-major index order).
+    coords: Vec<Coord>,
     routers: Vec<Router>,
     cycle: u64,
     in_flight: u64,
@@ -125,6 +129,7 @@ impl NocSim {
         let n = mesh.len();
         Self {
             mesh,
+            coords: mesh.coord_table(),
             routers: (0..n).map(|_| Router::default()).collect(),
             cycle: 0,
             in_flight: 0,
@@ -260,12 +265,19 @@ impl NocSim {
     /// [`NocError::DeadCore`] when either endpoint is dead and
     /// [`NocError::Unroutable`] when the fault pattern disconnects them.
     pub fn inject(&mut self, src: Coord, dst: Coord) -> Result<bool, NocError> {
+        self.admit(src, dst)?;
+        Ok(self.push_local(src, dst))
+    }
+
+    /// Whether the network accepts spikes from `src` to `dst` at all —
+    /// every check of [`NocSim::inject`] except the queue's room. Mesh
+    /// and faults are static, so one answer holds for the whole run.
+    pub(crate) fn admit(&self, src: Coord, dst: Coord) -> Result<(), NocError> {
         for c in [src, dst] {
             if !self.mesh.contains(c) {
                 return Err(NocError::OutOfBounds { coord: c });
             }
         }
-        let r = self.mesh.index_of(src);
         if !self.dead.is_empty() {
             for c in [src, dst] {
                 if self.dead[self.mesh.index_of(c)] {
@@ -274,74 +286,62 @@ impl NocSim {
             }
         }
         if let Some(table) = &self.next_hop {
+            let r = self.mesh.index_of(src);
             if table[self.mesh.index_of(dst) * self.mesh.len() + r] == NH_UNREACHABLE {
                 return Err(NocError::Unroutable { src, dst });
             }
         }
+        Ok(())
+    }
+
+    /// Queues a spike of an admitted pair (see [`NocSim::admit`]) at its
+    /// source's local port; `false` (a counted rejection) when that
+    /// queue is full.
+    pub(crate) fn push_local(&mut self, src: Coord, dst: Coord) -> bool {
+        let r = self.mesh.index_of(src);
         let q = &mut self.routers[r].inputs[LOCAL];
         if q.len() >= self.config.queue_capacity {
             self.stats.rejected += 1;
-            return Ok(false);
+            return false;
         }
         q.push_back(Packet { src, dst, injected_at: self.cycle, hops: 0 });
         self.queued[r] += 1;
         self.stats.injected += 1;
         self.in_flight += 1;
-        Ok(true)
+        true
     }
 
-    /// Desired output port for a packet sitting at router `at`.
-    fn route(&mut self, at: Coord, dst: Coord) -> usize {
-        if at == dst {
+    /// Desired output port for a packet at router `r` (coordinate
+    /// `here`) bound for `dst`.
+    fn route(&mut self, r: usize, here: Coord, dst: Coord) -> usize {
+        if here == dst {
             return OUT_EJECT;
         }
         if let Some(table) = &self.next_hop {
-            let out = table[self.mesh.index_of(dst) * self.mesh.len() + self.mesh.index_of(at)];
+            let out = table[self.mesh.index_of(dst) * self.mesh.len() + r];
             // Injection rejects unroutable pairs and faults are static, so
             // every in-flight packet has a table entry at every hop.
             debug_assert_ne!(out, NH_UNREACHABLE, "in-flight packet lost its route");
             return out as usize;
         }
-        let dx = dst.x as i32 - at.x as i32;
-        let dy = dst.y as i32 - at.y as i32;
-        let x_out = if dx < 0 { OUT_NORTH } else { OUT_SOUTH };
-        let y_out = if dy < 0 { OUT_WEST } else { OUT_EAST };
+        let x_out = if dst.x < here.x { OUT_NORTH } else { OUT_SOUTH };
+        let y_out = if dst.y < here.y { OUT_WEST } else { OUT_EAST };
+        if dst.x == here.x {
+            return y_out;
+        }
+        if dst.y == here.y {
+            return x_out;
+        }
         match self.config.routing {
-            Routing::Xy => {
-                if dx != 0 {
-                    x_out
-                } else {
-                    y_out
-                }
-            }
+            Routing::Xy => x_out,
             Routing::RandomMinimal => {
-                if dx != 0 && dy != 0 {
-                    if self.rng.gen_bool(0.5) {
-                        x_out
-                    } else {
-                        y_out
-                    }
-                } else if dx != 0 {
+                if self.rng.gen_bool(0.5) {
                     x_out
                 } else {
                     y_out
                 }
             }
         }
-    }
-
-    /// Neighbour router index and its receiving input port for an output
-    /// direction.
-    fn link(&self, from: Coord, out: usize) -> (usize, usize) {
-        let (to, in_port) = match out {
-            OUT_NORTH => (Coord::new(from.x - 1, from.y), SOUTH),
-            OUT_SOUTH => (Coord::new(from.x + 1, from.y), NORTH),
-            OUT_WEST => (Coord::new(from.x, from.y - 1), EAST),
-            OUT_EAST => (Coord::new(from.x, from.y + 1), WEST),
-            _ => unreachable!("eject has no link"),
-        };
-        debug_assert!(self.mesh.contains(to), "minimal routing never leaves the mesh");
-        (self.mesh.index_of(to), in_port)
     }
 
     /// Advances the network one cycle: every router arbitrates each
@@ -353,41 +353,42 @@ impl NocSim {
     /// skipped: an empty router routes nothing, draws no
     /// [`Routing::RandomMinimal`] choice and keeps its round-robin
     /// pointers, so a cycle costs the busy routers plus one counter scan.
+    ///
+    /// A busy router routes its head packets in input-port order (one
+    /// [`Routing::RandomMinimal`] draw per head with both offsets
+    /// unresolved) into one 5-bit request mask per output. Each output's
+    /// winner is the first requesting port at or after its round-robin
+    /// pointer: rotate the mask right by the pointer and take the
+    /// lowest set bit. A head requests exactly one output, so no port
+    /// can win twice in a cycle. Neighbours are found by index
+    /// (`r ∓ cols` along x, `r ∓ 1` along y).
     pub fn step(&mut self) {
         self.moves.clear();
+        let cols = self.mesh.cols() as usize;
 
         for r in 0..self.routers.len() {
             if self.queued[r] == 0 {
                 continue;
             }
-            let here = self.mesh.coord_of_index(r);
-            // Desired output of each head-of-queue packet.
-            let mut desires = [usize::MAX; NUM_PORTS];
-            let heads: [Option<Packet>; NUM_PORTS] =
-                std::array::from_fn(|p| self.routers[r].inputs[p].front().copied());
-            for (desire, head) in desires.iter_mut().zip(heads) {
-                if let Some(pkt) = head {
-                    *desire = self.route(here, pkt.dst);
+            let here = self.coords[r];
+            let mut requests = [0u32; NUM_OUTS];
+            for p in 0..NUM_PORTS {
+                if let Some(pkt) = self.routers[r].inputs[p].front() {
+                    let dst = pkt.dst;
+                    requests[self.route(r, here, dst)] |= 1 << p;
                 }
             }
-            let mut popped = [false; NUM_PORTS];
-            for out in 0..NUM_OUTS {
-                // Round-robin scan of input ports for this output.
-                let start = self.routers[r].rr[out];
-                let mut winner = None;
-                for k in 0..NUM_PORTS {
-                    let p = (start + k) % NUM_PORTS;
-                    if !popped[p] && desires[p] == out {
-                        winner = Some(p);
-                        break;
-                    }
+            for (out, &mask) in requests.iter().enumerate() {
+                if mask == 0 {
+                    continue;
                 }
-                let Some(p) = winner else { continue };
+                let start = usize::from(self.routers[r].rr[out]);
+                let rotated = ((mask >> start) | (mask << (NUM_PORTS - start))) & PORT_MASK;
+                let p = (start + rotated.trailing_zeros() as usize) % NUM_PORTS;
                 if out == OUT_EJECT {
                     let pkt = self.routers[r].inputs[p].pop_front().expect("head exists");
                     self.queued[r] -= 1;
-                    popped[p] = true;
-                    self.routers[r].rr[out] = (p + 1) % NUM_PORTS;
+                    self.routers[r].rr[out] = ((p + 1) % NUM_PORTS) as u8;
                     self.stats.traversals[r] += 1;
                     let latency = self.cycle - pkt.injected_at + 1;
                     self.stats.delivered += 1;
@@ -399,18 +400,22 @@ impl NocSim {
                         u64::from(pkt.hops.saturating_sub(pkt.src.manhattan(pkt.dst)));
                     self.in_flight -= 1;
                 } else {
-                    let (to, in_port) = self.link(here, out);
+                    // Routes never leave the mesh, so the neighbour exists.
+                    let (to, in_port) = match out {
+                        OUT_NORTH => (r - cols, SOUTH),
+                        OUT_SOUTH => (r + cols, NORTH),
+                        OUT_WEST => (r - 1, EAST),
+                        _ => (r + 1, WEST),
+                    };
                     let slot = to * NUM_PORTS + in_port;
                     let room = self.config.queue_capacity
                         > self.routers[to].inputs[in_port].len() + self.incoming[slot] as usize;
                     if room {
+                        // Stage the move with the port to pop from; the
+                        // actual pop happens in commit.
                         self.incoming[slot] += 1;
-                        // Stage the move with the port to pop from, and
-                        // mark the pop now so another output cannot take
-                        // the same head; the actual pop happens in commit.
                         self.moves.push((r * NUM_PORTS + p, to, in_port));
-                        popped[p] = true;
-                        self.routers[r].rr[out] = (p + 1) % NUM_PORTS;
+                        self.routers[r].rr[out] = ((p + 1) % NUM_PORTS) as u8;
                     }
                 }
             }
@@ -1035,7 +1040,7 @@ mod tests {
         }
         assert!(s.drain(10_000));
         let snapshot = |s: &NocSim| {
-            let rr: Vec<[usize; NUM_OUTS]> = s.routers.iter().map(|r| r.rr).collect();
+            let rr: Vec<[u8; NUM_OUTS]> = s.routers.iter().map(|r| r.rr).collect();
             let next_draw: u64 = s.rng.clone().gen();
             (s.stats().clone(), s.in_flight(), rr, next_draw, s.queued.clone())
         };
