@@ -15,7 +15,7 @@
 //! appearance. The same PCN always yields the same hierarchy, on any
 //! machine, for any thread count.
 
-use snnmap_model::{Pcn, PcnBuilder};
+use snnmap_model::Pcn;
 
 use crate::CoreError;
 
@@ -67,8 +67,13 @@ impl Default for CoarsenConfig {
 /// Every contraction conserves the graph's totals: neuron and synapse
 /// counts sum exactly, and inter-cluster traffic either stays on a coarse
 /// edge or moves into [`Pcn::intra_traffic`] when both endpoints land in
-/// the same coarse cluster (weights re-aggregate in `f32`/`f64` exactly as
-/// [`PcnBuilder`] does, so totals match up to float associativity).
+/// the same coarse cluster. A coarse weight is the `f64` sum of at most
+/// four fine `f32` weights, rounded to `f32`. That sum is exact whenever
+/// the terms lie within a factor of 2²⁸ of each other, so it does not
+/// depend on their order and equals what aggregating the same edges
+/// through [`snnmap_model::PcnBuilder`] gives, bit for bit. The fine and
+/// coarse traffic totals sum differently grouped terms, so they agree up
+/// to `f64` rounding, not bit for bit.
 ///
 /// # Errors
 ///
@@ -110,7 +115,9 @@ pub fn coarsen(pcn: &Pcn, cfg: &CoarsenConfig) -> Result<Vec<CoarseLevel>, CoreE
 }
 
 /// One heavy-edge-matching round: pairs clusters greedily and contracts
-/// each pair (or unmatched singleton) into one coarse cluster.
+/// each pair (or unmatched singleton) into one coarse cluster, writing
+/// the coarse out-CSR row by row. It costs O(fine edges + coarse edges)
+/// plus a sort of each coarse row, with no global edge sort.
 fn contract_once(pcn: &Pcn) -> Result<CoarseLevel, CoreError> {
     let n = pcn.num_clusters() as usize;
     let mut mate: Vec<u32> = vec![UNASSIGNED; n];
@@ -161,53 +168,209 @@ fn contract_once(pcn: &Pcn) -> Result<CoarseLevel, CoreError> {
         }
     }
 
-    // Coarse ids by first appearance over ascending fine ids.
+    // Coarse ids by first appearance over ascending fine ids, so coarse
+    // cluster p's smaller child is `first[p]` and its mate (if any) is the
+    // larger one.
     let mut parent_of: Vec<u32> = vec![UNASSIGNED; n];
-    let mut coarse_n = 0u32;
+    let mut first: Vec<u32> = Vec::new();
     for f in 0..n {
         if parent_of[f] != UNASSIGNED {
             continue;
         }
-        parent_of[f] = coarse_n;
+        let p = first.len() as u32;
+        parent_of[f] = p;
         let m = mate[f];
         if m != UNASSIGNED {
             debug_assert_eq!(parent_of[m as usize], UNASSIGNED);
-            parent_of[m as usize] = coarse_n;
+            parent_of[m as usize] = p;
         }
-        coarse_n += 1;
+        first.push(f as u32);
     }
+    let coarse_n = first.len();
 
-    // Contract: sum neurons/synapses per coarse cluster, re-add every
-    // fine edge under the parent mapping (collapsed pairs become coarse
-    // self-loops, which PcnBuilder folds into intra_traffic), and carry
-    // the fine level's intra total at full f64 precision.
-    let mut neurons = vec![0u64; coarse_n as usize];
-    let mut synapses = vec![0u64; coarse_n as usize];
-    for (f, &parent) in parent_of.iter().enumerate().take(n) {
-        let p = parent as usize;
-        neurons[p] += u64::from(pcn.neurons_in(f as u32));
-        synapses[p] += pcn.synapses_in(f as u32);
+    // Contract straight into the coarse out-CSR, one coarse row at a time:
+    // gather the children's out-edges under `parent_of` into the scratch
+    // table, summing each target's weights in f64 (children ascending,
+    // each in CSR order), then append the row's targets sorted. Edges
+    // between the two children are intra traffic, not row entries.
+    let mut neurons = Vec::with_capacity(coarse_n);
+    let mut synapses = Vec::with_capacity(coarse_n);
+    let mut out_offsets = Vec::with_capacity(coarse_n + 1);
+    out_offsets.push(0u64);
+    let mut out_to: Vec<u32> = Vec::new();
+    let mut out_w: Vec<f32> = Vec::new();
+    for (p, &f) in first.iter().enumerate() {
+        let pair = [f, mate[f as usize]];
+        let children = if pair[1] == UNASSIGNED { &pair[..1] } else { &pair[..] };
+        epoch += 1;
+        touched.clear();
+        let (mut cluster_neurons, mut cluster_synapses) = (0u64, 0u64);
+        for &c in children {
+            cluster_neurons += u64::from(pcn.neurons_in(c));
+            cluster_synapses += pcn.synapses_in(c);
+            for (t, w) in pcn.out_edges(c) {
+                let q = parent_of[t as usize];
+                if q as usize == p {
+                    continue;
+                }
+                if stamp[q as usize] != epoch {
+                    stamp[q as usize] = epoch;
+                    weight[q as usize] = w as f64;
+                    touched.push(q);
+                } else {
+                    weight[q as usize] += w as f64;
+                }
+            }
+        }
+        touched.sort_unstable();
+        out_to.extend_from_slice(&touched);
+        out_w.extend(touched.iter().map(|&q| weight[q as usize] as f32));
+        out_offsets.push(out_to.len() as u64);
+        neurons.push(u32::try_from(cluster_neurons).unwrap_or(u32::MAX));
+        synapses.push(cluster_synapses);
     }
-    let mut b =
-        PcnBuilder::with_capacity(coarse_n as usize, pcn.num_connections() as usize);
-    for p in 0..coarse_n as usize {
-        b.add_cluster(u32::try_from(neurons[p]).unwrap_or(u32::MAX), synapses[p]);
+    out_to.shrink_to_fit();
+    out_w.shrink_to_fit();
+
+    // A pair's mutual edges become intra traffic, tallied in ascending fine
+    // id before the fine level's own total is added.
+    let mut intra = 0f64;
+    for (f, &m) in mate.iter().enumerate() {
+        if m != UNASSIGNED {
+            if let Some(w) = pcn.edge_weight(f as u32, m) {
+                intra += w as f64;
+            }
+        }
     }
-    let internal = |e: snnmap_model::ModelError| CoreError::InvalidRunOpts {
-        message: format!("coarsening produced an invalid graph (internal bug): {e}"),
-    };
-    for (f, t, w) in pcn.iter_edges() {
-        b.add_edge(parent_of[f as usize], parent_of[t as usize], w).map_err(internal)?;
-    }
-    b.add_intra(pcn.intra_traffic()).map_err(internal)?;
-    let coarse = b.build().map_err(internal)?;
+    intra += pcn.intra_traffic();
+
+    let coarse = Pcn::from_out_csr(neurons, synapses, out_offsets, out_to, out_w, intra)
+        .map_err(|e| CoreError::InvalidRunOpts {
+            message: format!("coarsening produced an invalid graph (internal bug): {e}"),
+        })?;
     Ok(CoarseLevel { pcn: coarse, parent_of })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use snnmap_model::generators::random_pcn;
+    use snnmap_model::PcnBuilder;
+
+    /// The reference contraction: every fine edge re-added under
+    /// `parent_of` through [`PcnBuilder`], which sorts and aggregates the
+    /// whole edge list and folds collapsed pairs into intra traffic.
+    fn contract_with_builder(pcn: &Pcn, parent_of: &[u32]) -> Pcn {
+        let coarse_n = parent_of.iter().map(|&p| p as usize + 1).max().unwrap_or(0);
+        let mut neurons = vec![0u64; coarse_n];
+        let mut synapses = vec![0u64; coarse_n];
+        for (f, &p) in parent_of.iter().enumerate() {
+            neurons[p as usize] += u64::from(pcn.neurons_in(f as u32));
+            synapses[p as usize] += pcn.synapses_in(f as u32);
+        }
+        let mut b = PcnBuilder::new();
+        for (&n, &s) in neurons.iter().zip(&synapses) {
+            b.add_cluster(u32::try_from(n).unwrap_or(u32::MAX), s);
+        }
+        for (f, t, w) in pcn.iter_edges() {
+            b.add_edge(parent_of[f as usize], parent_of[t as usize], w).unwrap();
+        }
+        b.add_intra(pcn.intra_traffic()).unwrap();
+        b.build().unwrap()
+    }
+
+    /// `contract_once` must equal the builder reference bit for bit, with
+    /// every coarse row strictly increasing.
+    fn assert_contraction_matches_builder(pcn: &Pcn) {
+        let level = contract_once(pcn).unwrap();
+        let reference = contract_with_builder(pcn, &level.parent_of);
+        let coarse = &level.pcn;
+        assert_eq!(coarse, &reference);
+        assert_eq!(coarse.total_traffic().to_bits(), reference.total_traffic().to_bits());
+        assert_eq!(coarse.intra_traffic().to_bits(), reference.intra_traffic().to_bits());
+        for ((f, t, w), (rf, rt, rw)) in coarse.iter_edges().zip(reference.iter_edges()) {
+            assert_eq!((f, t, w.to_bits()), (rf, rt, rw.to_bits()));
+        }
+        for c in 0..coarse.num_clusters() {
+            let row: Vec<u32> = coarse.out_edges(c).map(|(t, _)| t).collect();
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "row {c} not increasing: {row:?}");
+        }
+    }
+
+    /// `n` clusters with the given `(from, to, weight)` edges (self-loops
+    /// included) and an extra intra total.
+    fn graph(n: u32, edges: &[(u32, u32, f32)], intra: f64) -> Pcn {
+        let mut b = PcnBuilder::new();
+        for c in 0..n {
+            b.add_cluster(1 + c % 7, 10 + u64::from(c));
+        }
+        for &(f, t, w) in edges {
+            b.add_edge(f % n, t % n, w).unwrap();
+        }
+        b.add_intra(intra).unwrap();
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn contraction_matches_the_builder_on_random_pcns(
+            n in 1u32..400,
+            degree in 0.0f64..8.0,
+            seed in 0u64..10_000,
+        ) {
+            assert_contraction_matches_builder(&random_pcn(n, degree, seed).unwrap());
+        }
+
+        #[test]
+        fn contraction_matches_the_builder_with_self_loops_and_intra_traffic(
+            n in 1u32..80,
+            edges in prop::collection::vec((0u32..80, 0u32..80, 0.01f32..1000.0), 0..400),
+            intra in 0.0f64..1e6,
+        ) {
+            assert_contraction_matches_builder(&graph(n, &edges, intra));
+        }
+
+        #[test]
+        fn contraction_matches_the_builder_on_stars(
+            n in 2u32..300,
+            weights in prop::collection::vec((0.01f32..100.0, 0.0f32..100.0), 300),
+        ) {
+            // Hub 0 talks to every leaf, in both directions; the leaves
+            // never talk to each other, so only one leaf can pair up.
+            let edges: Vec<(u32, u32, f32)> = (1..n)
+                .flat_map(|v| {
+                    let (out, back) = weights[v as usize];
+                    [(0, v, out), (v, 0, back)]
+                })
+                .collect();
+            assert_contraction_matches_builder(&graph(n, &edges, 0.0));
+        }
+    }
+
+    #[test]
+    fn contraction_matches_the_builder_at_every_level() {
+        // Coarser levels carry aggregated f32 weights and intra totals.
+        let pcn = random_pcn(2000, 6.0, 5).unwrap();
+        let cfg = CoarsenConfig { target_clusters: 8, ..CoarsenConfig::default() };
+        let levels = coarsen(&pcn, &cfg).unwrap();
+        assert!(levels.len() >= 4);
+        assert_contraction_matches_builder(&pcn);
+        for level in &levels {
+            assert_contraction_matches_builder(&level.pcn);
+        }
+    }
+
+    #[test]
+    fn contraction_matches_the_builder_on_edgeless_graphs() {
+        for n in [1, 2, 50] {
+            let pcn = graph(n, &[], 3.5);
+            assert_contraction_matches_builder(&pcn);
+            assert_eq!(contract_once(&pcn).unwrap().pcn.num_clusters(), n);
+        }
+    }
 
     fn chain(n: u32) -> Pcn {
         let mut b = PcnBuilder::new();

@@ -2331,7 +2331,6 @@ mod tests {
         // single serial block and the hot-record init under the
         // per-thread minimum — the recovery probes never spawn workers,
         // so the armed hook cannot re-trigger on the panic path.
-        let _guard = par::hooks::exclusive();
         let pcn = random_pcn(3500, 3.0, 11).unwrap();
         let mesh = Mesh::new(64, 64).unwrap();
         let base = crate::hsc_placement(&pcn, mesh, None, 2).unwrap();

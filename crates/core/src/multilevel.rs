@@ -24,7 +24,6 @@
 //! PCN, mesh, config and fault map produce byte-identical placements for
 //! every thread count.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 use snnmap_hw::{Coord, FaultMap, Mesh, Placement};
@@ -62,8 +61,9 @@ impl Default for MultilevelConfig {
         Self {
             // Coarsen deeper than the standalone default: the coarsest
             // rung's FD convergence dominates init time, so the coarsest
-            // graph should be as small as matching can make it (it
-            // saturates near the low hundreds on mesh-like PCNs anyway).
+            // graph should be as small as matching can make it. Matching
+            // often stalls first: on an id-scrambled random PCN of 235,929
+            // clusters, `min_reduction` stops it at 4,947.
             coarsen: CoarsenConfig { target_clusters: 512, ..CoarsenConfig::default() },
             level_sweeps: 3,
             halo: 2,
@@ -282,47 +282,67 @@ fn project_level(
     Ok((placement, dirty))
 }
 
-/// The free (healthy, unoccupied) cells of a mesh, indexed by row, with
-/// exact nearest-by-Manhattan queries. Ties break on smallest distance,
-/// then smallest row, then smallest column — a total order, so the
-/// choice is deterministic. A query walks rows outward from the anchor
-/// and prunes as soon as the row offset alone exceeds the best distance
-/// found: O(d log cols) per take instead of the O(d²) cell-by-cell ring
-/// scan, which matters at the ~92%-occupied finest level where spilled
-/// children search tens of cells out.
+/// The free (healthy, unoccupied) cells of a mesh as one `u64` bitset per
+/// row (bit `y` of row `x` is set while cell `(x, y)` is free), with exact
+/// nearest-by-Manhattan queries. Ties break on smallest distance, then
+/// smallest row, then smallest column — a total order, so the choice is
+/// deterministic. A query walks rows outward from the anchor and prunes as
+/// soon as the row offset alone exceeds the best distance found. Within a
+/// row, the nearest free column at or below and at or above the anchor are
+/// word scans bounded by the distance still able to beat the best: about
+/// `d / 32` words per row visited, which matters at the ~92%-occupied
+/// finest level where spilled children search tens of cells out.
 struct FreeCells {
-    rows: Vec<BTreeSet<u16>>,
+    cols: usize,
+    /// `u64` words per row.
+    words: usize,
+    /// Row-major: row `x` is `bits[x * words..(x + 1) * words]`.
+    bits: Vec<u64>,
 }
 
 impl FreeCells {
     fn new(mesh: Mesh, faults: Option<&FaultMap>) -> Self {
-        let mut rows = vec![BTreeSet::new(); usize::from(mesh.rows())];
-        for c in mesh.iter() {
-            if faults.map_or(true, |fm| !fm.is_dead(c)) {
-                rows[usize::from(c.x)].insert(c.y);
+        let (rows, cols) = (usize::from(mesh.rows()), usize::from(mesh.cols()));
+        let words = cols.div_ceil(64);
+        let row: Vec<u64> =
+            (0..words).map(|w| u64::MAX >> (64 - (cols - 64 * w).min(64))).collect();
+        let mut free = Self { cols, words, bits: row.repeat(rows) };
+        if let Some(fm) = faults {
+            for c in mesh.iter().filter(|&c| fm.is_dead(c)) {
+                free.clear(c.x, c.y);
             }
         }
-        Self { rows }
+        free
+    }
+
+    fn clear(&mut self, x: u16, y: u16) {
+        let y = usize::from(y);
+        self.bits[usize::from(x) * self.words + y / 64] &= !(1u64 << (y % 64));
     }
 
     /// Removes and returns the free cell nearest to `anchor`. Capacity
     /// is checked by the caller, so a free cell always exists.
     fn take_nearest(&mut self, anchor: Coord) -> Coord {
         let ax = i32::from(anchor.x);
+        let ay = usize::from(anchor.y);
+        debug_assert!(ay < self.cols);
+        let rows = (self.bits.len() / self.words) as i32;
         let mut best: Option<(i32, u16, u16)> = None;
-        for ddx in 0..self.rows.len() as i32 {
+        for ddx in 0..rows {
             if best.is_some_and(|(d, _, _)| ddx > d) {
                 break;
             }
             for x in [ax - ddx, ax + ddx] {
-                if x < 0 || x as usize >= self.rows.len() {
+                if x < 0 || x >= rows {
                     continue;
                 }
-                let row = &self.rows[x as usize];
-                let below = row.range(..=anchor.y).next_back().copied();
-                let above = row.range(anchor.y..).next().copied();
+                // Columns farther out than `reach` cannot beat `best`.
+                let reach = best.map_or(self.cols, |(d, _, _)| (d - ddx) as usize);
+                let row = &self.bits[x as usize * self.words..][..self.words];
+                let below = last_set(row, ay.saturating_sub(reach), ay);
+                let above = first_set(row, ay, (ay + reach).min(self.cols - 1));
                 for y in below.into_iter().chain(above) {
-                    let cand = (ddx + i32::from(y.abs_diff(anchor.y)), x as u16, y);
+                    let cand = (ddx + y.abs_diff(ay) as i32, x as u16, y as u16);
                     if best.map_or(true, |b| cand < b) {
                         best = Some(cand);
                     }
@@ -333,9 +353,32 @@ impl FreeCells {
             }
         }
         let (_, x, y) = best.expect("caller guarantees a free cell exists");
-        self.rows[usize::from(x)].remove(&y);
+        self.clear(x, y);
         Coord::new(x, y)
     }
+}
+
+/// The mask of bits `lo..=hi` within word `w` of a row.
+fn span_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let low = if w == lo / 64 { u64::MAX << (lo % 64) } else { u64::MAX };
+    let high = if w == hi / 64 { u64::MAX >> (63 - hi % 64) } else { u64::MAX };
+    low & high
+}
+
+/// The highest set bit of `row` in `lo..=hi`.
+fn last_set(row: &[u64], lo: usize, hi: usize) -> Option<usize> {
+    (lo / 64..=hi / 64).rev().find_map(|w| {
+        let word = row[w] & span_mask(w, lo, hi);
+        (word != 0).then(|| 64 * w + 63 - word.leading_zeros() as usize)
+    })
+}
+
+/// The lowest set bit of `row` in `lo..=hi`.
+fn first_set(row: &[u64], lo: usize, hi: usize) -> Option<usize> {
+    (lo / 64..=hi / 64).find_map(|w| {
+        let word = row[w] & span_mask(w, lo, hi);
+        (word != 0).then(|| 64 * w + word.trailing_zeros() as usize)
+    })
 }
 
 /// The union of Manhattan balls of radius `halo` around `seeds`, as a
@@ -369,6 +412,10 @@ mod tests {
     use crate::{InitialPlacement, Mapper};
     use snnmap_hw::CostModel;
     use snnmap_metrics::evaluate;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use snnmap_model::generators::random_pcn;
 
     fn ml_mapper(threads: usize) -> Mapper {
@@ -413,6 +460,106 @@ mod tests {
         // d=2: (0,0) wins on row before (0,2) wins on column.
         assert_eq!(free.take_nearest(a), Coord::new(0, 0));
         assert_eq!(free.take_nearest(a), Coord::new(0, 2));
+    }
+
+    /// The reference choice: the free cell with the smallest `(distance,
+    /// row, column)`, by scanning every cell.
+    fn nearest_by_scan(mesh: Mesh, free: &[bool], anchor: Coord) -> Coord {
+        mesh.iter()
+            .filter(|&c| free[mesh.index_of(c)])
+            .min_by_key(|&c| (c.manhattan(anchor), c.x, c.y))
+            .expect("a free cell exists")
+    }
+
+    /// A fault map killing each cell of `mesh` with probability `rate`,
+    /// keeping at least `keep` cells alive.
+    fn random_faults(mesh: Mesh, rate: f64, keep: usize, rng: &mut ChaCha8Rng) -> FaultMap {
+        let mut fm = FaultMap::new(mesh);
+        for c in mesh.iter() {
+            if fm.healthy_cores() > keep && rng.gen_bool(rate) {
+                fm.kill_core(c).unwrap();
+            }
+        }
+        fm
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn take_nearest_matches_a_brute_force_scan(
+            rows in 1u16..6,
+            col_pick in 0usize..5,
+            rate_pick in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            // Column counts around the 64-bit word edges.
+            let cols = [1u16, 63, 64, 65, 130][col_pick];
+            let dead_rate = [0.0, 0.1, 0.5][rate_pick];
+            let mesh = Mesh::new(rows, cols).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let fm = random_faults(mesh, dead_rate, 1, &mut rng);
+            let faults = (fm.num_dead_cores() > 0).then_some(&fm);
+            let mut free: Vec<bool> = mesh.iter().map(|c| !fm.is_dead(c)).collect();
+            let mut cells = FreeCells::new(mesh, faults);
+            // Take every free cell; half the anchors repeat the previous
+            // one, so later takes spill far from a crowded anchor.
+            let mut anchor = Coord::new(0, 0);
+            for _ in 0..fm.healthy_cores() {
+                if rng.gen_bool(0.5) {
+                    anchor = Coord::new(rng.gen_range(0..rows), rng.gen_range(0..cols));
+                }
+                let expect = nearest_by_scan(mesh, &free, anchor);
+                prop_assert_eq!(cells.take_nearest(anchor), expect, "anchor {}", anchor);
+                free[mesh.index_of(expect)] = false;
+            }
+        }
+
+        #[test]
+        fn project_level_places_every_child_on_the_brute_force_choice(
+            parent_rows in 1u16..6,
+            parent_cols in 1u16..6,
+            extra_rows in 0u16..4,
+            extra_cols in 0u16..4,
+            faulty in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let dead_rate = if faulty { 0.2 } else { 0.0 };
+            let parent_mesh = Mesh::new(parent_rows, parent_cols).unwrap();
+            let fine_mesh =
+                Mesh::new(2 * parent_rows + extra_rows, 2 * parent_cols + extra_cols).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // Coarse clusters on random distinct parent cells, each with
+            // one or two children under shuffled fine ids.
+            let coarse_n = rng.gen_range(1..=parent_mesh.len() as u32);
+            let mut cells: Vec<Coord> = parent_mesh.iter().collect();
+            cells.shuffle(&mut rng);
+            let parent = Placement::from_coords(parent_mesh, &cells[..coarse_n as usize]).unwrap();
+            let mut parent_of: Vec<u32> =
+                (0..coarse_n).flat_map(|g| vec![g; rng.gen_range(1..=2)]).collect();
+            parent_of.shuffle(&mut rng);
+            let fine_n = parent_of.len() as u32;
+            let fm = random_faults(fine_mesh, dead_rate, fine_n as usize, &mut rng);
+            let faults = (fm.num_dead_cores() > 0).then_some(&fm);
+
+            let (placement, _) =
+                project_level(fine_n, fine_mesh, &parent_of, &parent, parent_mesh, faults).unwrap();
+
+            let mut free: Vec<bool> = fine_mesh.iter().map(|c| !fm.is_dead(c)).collect();
+            let (rows_f, cols_f) = (u32::from(fine_mesh.rows()), u32::from(fine_mesh.cols()));
+            for g in 0..coarse_n {
+                let pc = parent.coord_of(g).unwrap();
+                let anchor = Coord::new(
+                    (u32::from(pc.x) * rows_f / u32::from(parent_rows)) as u16,
+                    (u32::from(pc.y) * cols_f / u32::from(parent_cols)) as u16,
+                );
+                for f in (0..fine_n).filter(|&f| parent_of[f as usize] == g) {
+                    let expect = nearest_by_scan(fine_mesh, &free, anchor);
+                    prop_assert_eq!(placement.coord_of(f), Some(expect), "child {} of {}", f, g);
+                    free[fine_mesh.index_of(expect)] = false;
+                }
+            }
+        }
     }
 
     #[test]

@@ -146,49 +146,51 @@ impl Error for WorkerPanic {}
 ///
 /// Not part of the public API surface (hidden from docs); always compiled
 /// so integration tests and downstream crates' tests can arm it without a
-/// feature flag. Disarmed it costs one relaxed atomic load per *spawned*
-/// worker chunk — the serial fallback never injects, so recovery paths
-/// that deliberately run serially (e.g. the checkpoint flush after a
-/// worker panic) cannot re-trigger it.
+/// feature flag. Arming is scoped to the arming thread: only workers that
+/// thread spawns count down, so tests running concurrently in the same
+/// process never consume each other's injection. Disarmed it costs one
+/// thread-local read per helper call that spawns workers — the serial
+/// fallback never injects, so recovery paths that deliberately run
+/// serially (e.g. the checkpoint flush after a worker panic) cannot
+/// re-trigger it.
 #[doc(hidden)]
 pub mod hooks {
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
-    use std::sync::{Mutex, MutexGuard};
+    use std::sync::Arc;
 
-    /// Remaining spawned-worker chunks before one panics; negative means
-    /// disarmed.
-    static COUNTDOWN: AtomicI64 = AtomicI64::new(i64::MIN);
-
-    /// Serializes tests that arm the hook: the countdown is process-wide,
-    /// so concurrently running tests would otherwise steal each other's
-    /// injection. Hold the guard across arm → assert → disarm.
-    static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-    /// Takes the armed-hook test lock (poison-tolerant: a previous test
-    /// failing while armed must not cascade).
-    pub fn exclusive() -> MutexGuard<'static, ()> {
-        EXCLUSIVE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    thread_local! {
+        /// This thread's countdown: spawned-worker chunks left before one
+        /// panics. `None` means disarmed.
+        static COUNTDOWN: RefCell<Option<Arc<AtomicI64>>> = const { RefCell::new(None) };
     }
 
     /// The message the injected panic carries.
     pub const INJECTED_PANIC: &str = "injected worker panic (test hook)";
 
-    /// Arms the hook: the `(skip + 1)`-th spawned worker chunk from now
-    /// panics with [`INJECTED_PANIC`].
+    /// Arms the hook on the calling thread: the `(skip + 1)`-th worker
+    /// chunk spawned by this thread from now panics with
+    /// [`INJECTED_PANIC`].
     pub fn fail_after(skip: u64) {
-        COUNTDOWN.store(i64::try_from(skip).unwrap_or(i64::MAX), Relaxed);
+        let countdown = Arc::new(AtomicI64::new(i64::try_from(skip).unwrap_or(i64::MAX)));
+        COUNTDOWN.with(|c| *c.borrow_mut() = Some(countdown));
     }
 
-    /// Disarms the hook.
+    /// Disarms the hook on the calling thread.
     pub fn disarm() {
-        COUNTDOWN.store(i64::MIN, Relaxed);
+        COUNTDOWN.with(|c| *c.borrow_mut() = None);
+    }
+
+    /// The calling thread's countdown, taken before it spawns workers and
+    /// handed to each of them.
+    pub(crate) fn armed() -> Option<Arc<AtomicI64>> {
+        COUNTDOWN.with(|c| c.borrow().clone())
     }
 
     #[inline]
-    pub(crate) fn maybe_inject() {
-        // The load screens the common (disarmed) case; near zero, exactly
-        // one thread observes the 0 → -1 transition and panics.
-        if COUNTDOWN.load(Relaxed) >= 0 && COUNTDOWN.fetch_sub(1, Relaxed) == 0 {
+    pub(crate) fn maybe_inject(countdown: Option<&AtomicI64>) {
+        // Exactly one worker observes the 0 → -1 transition and panics.
+        if countdown.is_some_and(|c| c.fetch_sub(1, Relaxed) == 0) {
             panic!("{}", INJECTED_PANIC);
         }
     }
@@ -516,6 +518,8 @@ where
     let chunk = n.div_ceil(threads);
     let f = &f;
     bump(&PARALLEL_CALLS, 1, |c| &mut c.parallel_calls);
+    let armed = hooks::armed();
+    let hook = armed.as_deref();
     std::thread::scope(|s| {
         let mut chunks = out.chunks_mut(chunk);
         let first = chunks.next();
@@ -525,7 +529,7 @@ where
             bump(&WORKERS, 1, |c| &mut c.workers_spawned);
             handles.push(s.spawn(move || {
                 catch_unwind(AssertUnwindSafe(|| {
-                    hooks::maybe_inject();
+                    hooks::maybe_inject(hook);
                     for (j, slot) in part.iter_mut().enumerate() {
                         *slot = f(base + j);
                     }
@@ -576,6 +580,8 @@ where
     let chunk = n.div_ceil(threads);
     let f = &f;
     bump(&PARALLEL_CALLS, 1, |c| &mut c.parallel_calls);
+    let armed = hooks::armed();
+    let hook = armed.as_deref();
     std::thread::scope(|s| {
         let mut chunks = data.chunks_mut(chunk);
         let first = chunks.next();
@@ -585,7 +591,7 @@ where
             bump(&WORKERS, 1, |c| &mut c.workers_spawned);
             handles.push(s.spawn(move || {
                 catch_unwind(AssertUnwindSafe(|| {
-                    hooks::maybe_inject();
+                    hooks::maybe_inject(hook);
                     for (j, slot) in part.iter_mut().enumerate() {
                         f(base + j, slot);
                     }
@@ -715,6 +721,8 @@ where
     let f = &f;
     let mut parts: Vec<Vec<R>> = Vec::with_capacity(threads);
     bump(&PARALLEL_CALLS, 1, |c| &mut c.parallel_calls);
+    let armed = hooks::armed();
+    let hook = armed.as_deref();
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads - 1);
         for k in 1..threads {
@@ -726,7 +734,7 @@ where
             bump(&WORKERS, 1, |c| &mut c.workers_spawned);
             handles.push(s.spawn(move || {
                 catch_unwind(AssertUnwindSafe(|| {
-                    hooks::maybe_inject();
+                    hooks::maybe_inject(hook);
                     let mut v = Vec::new();
                     for i in lo..hi {
                         f(i, &mut v);
@@ -1147,7 +1155,6 @@ mod tests {
 
     #[test]
     fn injection_hook_fires_once_in_a_spawned_worker() {
-        let _guard = hooks::exclusive();
         let n = 4 * MIN_ITEMS_PER_THREAD;
         hooks::fail_after(0);
         let err = flat_map(4, n, |i, out: &mut Vec<usize>| out.push(i)).unwrap_err();
@@ -1161,5 +1168,24 @@ mod tests {
         let v = flat_map(1, 64, |i, out: &mut Vec<usize>| out.push(i)).unwrap();
         hooks::disarm();
         assert_eq!(v.len(), 64);
+    }
+
+    #[test]
+    fn injection_is_scoped_to_the_arming_thread() {
+        let n = 4 * MIN_ITEMS_PER_THREAD;
+        hooks::fail_after(0);
+        // Workers spawned by another thread never consume this thread's
+        // injection, and an arming elsewhere never reaches this thread's.
+        let other = std::thread::spawn(move || {
+            let len = flat_map(4, n, |i, out: &mut Vec<usize>| out.push(i)).map(|v| v.len());
+            hooks::fail_after(0);
+            len
+        });
+        assert_eq!(other.join().unwrap(), Ok(n));
+        let err = flat_map(4, n, |i, out: &mut Vec<usize>| out.push(i)).unwrap_err();
+        hooks::disarm();
+        assert_eq!(err.message(), hooks::INJECTED_PANIC);
+        let v = flat_map(4, n, |i, out: &mut Vec<usize>| out.push(i)).unwrap();
+        assert_eq!(v.len(), n);
     }
 }

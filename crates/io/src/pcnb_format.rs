@@ -23,9 +23,11 @@
 //! checksum   u64      FNV-1a over every preceding byte
 //! ```
 //!
-//! The CSR is **canonical** — exactly what [`PcnBuilder`] produces — so
-//! `.pcnb → Pcn → .pcnb` is byte-identical, and `intra` carries the `f64`
-//! total bit-exactly (the text format rounds it through `f32`).
+//! The CSR is **canonical** — exactly the out-CSR a [`Pcn`] stores, so
+//! [`Pcn::from_out_csr`] takes the decoded arrays as they are, with no
+//! sort or re-aggregation. `.pcnb → Pcn → .pcnb` is byte-identical, and
+//! `intra` carries the `f64` total bit-exactly (the text format rounds it
+//! through `f32`).
 //!
 //! The reader streams through any [`Read`] with a bounded scratch buffer
 //! (no mmap, no size-`m` trust): allocations grow with bytes actually
@@ -39,7 +41,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use snnmap_model::{Pcn, PcnBuilder};
+use snnmap_model::Pcn;
 
 use crate::limits::MAX_CLUSTERS;
 use crate::IoError;
@@ -178,10 +180,8 @@ fn parse_pcnb_from<R: Read>(reader: R) -> Result<Pcn, IoError> {
             ),
         });
     }
-    let cluster_bytes = r.read_section(clusters_len, "clusters")?;
-    let (neuron_bytes, synapse_bytes) = cluster_bytes.split_at(4 * n);
-    let neurons: Vec<u32> = le_u32s(neuron_bytes);
-    let synapses: Vec<u64> = le_u64s(synapse_bytes);
+    let neurons = r.read_values(n as u64, "clusters", u32::from_le_bytes)?;
+    let synapses = r.read_values(n as u64, "clusters", u64::from_le_bytes)?;
 
     let edges_len = r.read_u64("edges")?;
     let expect_edges_len = 12u64
@@ -198,32 +198,9 @@ fn parse_pcnb_from<R: Read>(reader: R) -> Result<Pcn, IoError> {
             ),
         });
     }
-    // Offsets first: they are sized by n (already capped), and checking
-    // them against m up front means the target/weight arrays — the only
-    // m-sized allocations — are never larger than the bytes the document
-    // actually delivers.
-    let offset_bytes = r.read_section(8 * (n as u64 + 1), "edges")?;
-    let offsets: Vec<u64> = le_u64s(&offset_bytes);
-    if offsets[0] != 0 || offsets[n] != m {
-        return Err(IoError::Corrupt {
-            message: format!(
-                "CSR offsets must run 0..={m}, got {}..={}",
-                offsets[0], offsets[n]
-            ),
-        });
-    }
-    for w in offsets.windows(2) {
-        if w[1] < w[0] {
-            return Err(IoError::Corrupt {
-                message: format!("CSR offsets must be monotone, got {} after {}", w[1], w[0]),
-            });
-        }
-    }
-    let m_usize = usize::try_from(m)
-        .map_err(|_| IoError::Invalid { message: format!("{m} edges exceed the address space") })?;
-    let target_bytes = r.read_section(4 * m, "edges")?;
-    let targets: Vec<u32> = le_u32s(&target_bytes);
-    let weight_bytes = r.read_section(4 * m, "edges")?;
+    let offsets = r.read_values(n as u64 + 1, "edges", u64::from_le_bytes)?;
+    let targets = r.read_values(m, "edges", u32::from_le_bytes)?;
+    let weights = r.read_values(m, "edges", f32::from_le_bytes)?;
 
     let computed = r.hash;
     let declared = r.read_u64("checksum")?;
@@ -239,56 +216,10 @@ fn parse_pcnb_from<R: Read>(reader: R) -> Result<Pcn, IoError> {
         });
     }
 
-    // Semantic validation + reconstruction.
-    let mut b = PcnBuilder::with_capacity(n, m_usize);
-    for c in 0..n {
-        b.add_cluster(neurons[c], synapses[c]);
-    }
-    for row in 0..n {
-        let (lo, hi) = (offsets[row] as usize, offsets[row + 1] as usize);
-        let mut prev: Option<u32> = None;
-        for k in lo..hi {
-            let t = targets[k];
-            if t as usize >= n {
-                return Err(IoError::Corrupt {
-                    message: format!("edge {row} → {t} targets a cluster outside 0..{n}"),
-                });
-            }
-            if t as usize == row {
-                return Err(IoError::Corrupt {
-                    message: format!("self-loop {row} → {t}: intra traffic belongs in the header"),
-                });
-            }
-            if prev.is_some_and(|p| t <= p) {
-                return Err(IoError::Corrupt {
-                    message: format!(
-                        "row {row} targets must be strictly increasing (canonical CSR), \
-                         got {t} after {}",
-                        prev.unwrap_or(0)
-                    ),
-                });
-            }
-            prev = Some(t);
-            let w = f32::from_le_bytes(weight_bytes[4 * k..4 * k + 4].try_into().expect("4 bytes"));
-            if !w.is_finite() || w < 0.0 {
-                return Err(IoError::Corrupt {
-                    message: format!("edge {row} → {t} weight {w} is not finite and non-negative"),
-                });
-            }
-            b.add_edge(row as u32, t, w)
-                .map_err(|e| IoError::Corrupt { message: e.to_string() })?;
-        }
-    }
-    b.add_intra(intra).map_err(|e| IoError::Corrupt { message: e.to_string() })?;
-    b.build().map_err(|e| IoError::Corrupt { message: e.to_string() })
-}
-
-fn le_u32s(bytes: &[u8]) -> Vec<u32> {
-    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect()
-}
-
-fn le_u64s(bytes: &[u8]) -> Vec<u64> {
-    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
+    // The document stores exactly the canonical out-CSR, so it becomes
+    // the PCN as is; the constructor rejects any non-canonical row.
+    Pcn::from_out_csr(neurons, synapses, offsets, targets, weights, intra)
+        .map_err(|e| IoError::Corrupt { message: e.to_string() })
 }
 
 /// A [`Read`] wrapper that folds every byte it delivers into a running
@@ -318,20 +249,31 @@ impl<R: Read> HashingReader<R> {
         Ok(u64::from_le_bytes(buf))
     }
 
-    /// Reads a `len`-byte section in bounded chunks: memory grows with
-    /// bytes actually delivered, never with a hostile declared size.
-    fn read_section(&mut self, len: u64, section: &str) -> Result<Vec<u8>, IoError> {
-        const CHUNK: usize = 64 * 1024;
-        let len = usize::try_from(len).map_err(|_| IoError::Invalid {
-            message: format!("{len}-byte section exceeds the address space"),
-        })?;
-        let mut out = Vec::with_capacity(len.min(CHUNK));
-        let mut chunk = vec![0u8; CHUNK.min(len.max(1))];
+    /// Reads `count` little-endian `N`-byte values in bounded chunks,
+    /// decoding each chunk as it arrives: memory grows with the values
+    /// actually delivered, never with a hostile declared count, and no
+    /// byte copy of the section is kept.
+    fn read_values<T, const N: usize>(
+        &mut self,
+        count: u64,
+        section: &str,
+        decode: fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, IoError> {
+        const CHUNK: usize = 64 * 1024; // a multiple of every N read here
+        let len = count
+            .checked_mul(N as u64)
+            .and_then(|len| usize::try_from(len).ok())
+            .ok_or_else(|| IoError::Invalid {
+                message: format!("{count} values of {N} bytes exceed the address space"),
+            })?;
+        let mut out = Vec::with_capacity(len.min(CHUNK) / N);
+        let mut chunk = vec![0u8; CHUNK.min(len)];
         let mut remaining = len;
         while remaining > 0 {
-            let take = remaining.min(chunk.len());
+            let take = remaining.min(CHUNK);
             self.read_exact_hashed(&mut chunk[..take], section)?;
-            out.extend_from_slice(&chunk[..take]);
+            let values = chunk[..take].chunks_exact(N);
+            out.extend(values.map(|b| decode(b.try_into().expect("N-byte chunks"))));
             remaining -= take;
         }
         Ok(out)
@@ -341,6 +283,7 @@ impl<R: Read> HashingReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snnmap_model::PcnBuilder;
     use snnmap_model::generators::random_pcn;
 
     fn sample() -> Pcn {

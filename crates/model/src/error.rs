@@ -77,6 +77,12 @@ pub enum ModelError {
         /// Requested neuron count.
         neurons: u64,
     },
+    /// A cluster graph's out-CSR was not canonical (see
+    /// [`crate::Pcn::from_out_csr`]).
+    InvalidCsr {
+        /// What was wrong, naming the offending row or edge.
+        message: String,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -113,6 +119,7 @@ impl fmt::Display for ModelError {
             ModelError::TooManyNeurons { neurons } => {
                 write!(f, "{neurons} neurons exceed explicit u32 representation")
             }
+            ModelError::InvalidCsr { message } => write!(f, "non-canonical CSR: {message}"),
         }
     }
 }
@@ -137,6 +144,7 @@ mod tests {
             ModelError::FanInTooLarge { fan_in: 10, layer: 5 },
             ModelError::TooLargeToMaterialize { synapses: 1 << 40, limit: 1 << 30 },
             ModelError::TooManyNeurons { neurons: 1 << 33 },
+            ModelError::InvalidCsr { message: "offsets must be monotone".into() },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -51,6 +51,134 @@ pub struct Pcn {
 }
 
 impl Pcn {
+    /// Finishes a PCN from its canonical out-CSR: cluster `c`'s targets
+    /// are `out_to[out_offsets[c]..out_offsets[c + 1]]`, strictly
+    /// increasing, never `c` itself, with the matching `out_w` weights.
+    /// The in-CSR (sources ascending per row) and the totals are derived
+    /// here, by the same code that finishes [`PcnBuilder::build`].
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::EmptyNetwork`] without clusters,
+    /// [`ModelError::InvalidCsr`] for mismatched lengths, offsets that do
+    /// not run monotonically from 0 to the edge count, or a row whose
+    /// targets are out of range, repeated, unsorted or its own id;
+    /// [`ModelError::InvalidWeight`] for a non-finite or negative edge
+    /// weight or intra total.
+    pub fn from_out_csr(
+        neurons: Vec<u32>,
+        synapses: Vec<u64>,
+        out_offsets: Vec<u64>,
+        out_to: Vec<u32>,
+        out_w: Vec<f32>,
+        intra_traffic: f64,
+    ) -> Result<Pcn, ModelError> {
+        let n = neurons.len();
+        if n == 0 {
+            return Err(ModelError::EmptyNetwork);
+        }
+        let m = out_to.len();
+        let invalid = |message: String| Err(ModelError::InvalidCsr { message });
+        if synapses.len() != n || out_offsets.len() != n + 1 || out_w.len() != m {
+            return invalid(format!(
+                "{n} clusters need {n} synapse counts and {} offsets, got {} and {}; \
+                 {m} targets need {m} weights, got {}",
+                n + 1,
+                synapses.len(),
+                out_offsets.len(),
+                out_w.len()
+            ));
+        }
+        if out_offsets[0] != 0 || out_offsets[n] != m as u64 {
+            return invalid(format!(
+                "offsets must run 0..={m}, got {}..={}",
+                out_offsets[0], out_offsets[n]
+            ));
+        }
+        if let Some(w) = out_offsets.windows(2).find(|w| w[1] < w[0]) {
+            return invalid(format!("offsets must be monotone, got {} after {}", w[1], w[0]));
+        }
+        for (row, w) in out_offsets.windows(2).enumerate() {
+            let targets = &out_to[w[0] as usize..w[1] as usize];
+            for (k, &t) in targets.iter().enumerate() {
+                if t as usize >= n {
+                    return invalid(format!("edge {row} → {t} targets a cluster outside 0..{n}"));
+                }
+                if t as usize == row {
+                    return invalid(format!(
+                        "self-loop {row} → {t}: intra traffic belongs in the intra total"
+                    ));
+                }
+                if k > 0 && t <= targets[k - 1] {
+                    return invalid(format!(
+                        "row {row} targets must be strictly increasing, got {t} after {}",
+                        targets[k - 1]
+                    ));
+                }
+            }
+        }
+        if let Some(&weight) = out_w.iter().find(|w| !w.is_finite() || **w < 0.0) {
+            return Err(ModelError::InvalidWeight { weight });
+        }
+        if !intra_traffic.is_finite() || intra_traffic < 0.0 {
+            return Err(ModelError::InvalidWeight { weight: intra_traffic as f32 });
+        }
+        Ok(Self::finish(neurons, synapses, out_offsets, out_to, out_w, intra_traffic))
+    }
+
+    /// Derives the in-CSR and the totals from an out-CSR that is already
+    /// canonical (checked by [`Pcn::from_out_csr`], or guaranteed by
+    /// [`PcnBuilder::build`]).
+    fn finish(
+        neurons: Vec<u32>,
+        synapses: Vec<u64>,
+        out_offsets: Vec<u64>,
+        out_to: Vec<u32>,
+        out_w: Vec<f32>,
+        intra_traffic: f64,
+    ) -> Pcn {
+        let (n, m) = (neurons.len(), out_to.len());
+        let mut in_offsets = vec![0u64; n + 1];
+        for &t in &out_to {
+            in_offsets[t as usize + 1] += 1;
+        }
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        // Rows are visited in source order, so every in-row comes out
+        // sorted by source.
+        let mut in_from = vec![0u32; m];
+        let mut in_w = vec![0f32; m];
+        let mut in_cursor = in_offsets.clone();
+        let mut total_traffic = 0f64;
+        for (f, w) in out_offsets.windows(2).enumerate() {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            for (&t, &wt) in out_to[lo..hi].iter().zip(&out_w[lo..hi]) {
+                let c = &mut in_cursor[t as usize];
+                in_from[*c as usize] = f as u32;
+                in_w[*c as usize] = wt;
+                *c += 1;
+                total_traffic += wt as f64;
+            }
+        }
+        let total_neurons = neurons.iter().map(|&x| x as u64).sum();
+        let total_synapses = synapses.iter().sum();
+        Pcn {
+            neurons,
+            synapses,
+            out_offsets,
+            out_to,
+            out_w,
+            in_offsets,
+            in_from,
+            in_w,
+            total_traffic,
+            intra_traffic,
+            total_neurons,
+            total_synapses,
+        }
+    }
+
     /// Number of clusters `|V_P|`.
     #[inline]
     pub fn num_clusters(&self) -> u32 {
@@ -274,74 +402,48 @@ impl PcnBuilder {
         Ok(self)
     }
 
-    /// Finalizes the PCN: aggregates duplicate edges and builds both CSR
-    /// directions.
+    /// Finalizes the PCN: sorts and aggregates duplicate edges into the
+    /// canonical out-CSR, then derives the in-CSR and the totals with the
+    /// same code as [`Pcn::from_out_csr`] (its checks are skipped: the
+    /// builder's edges were validated as they were added).
     ///
     /// # Errors
     ///
     /// [`ModelError::EmptyNetwork`] if no clusters were added.
     pub fn build(mut self) -> Result<Pcn, ModelError> {
-        if self.neurons.is_empty() {
-            return Err(ModelError::EmptyNetwork);
-        }
         // Aggregate duplicates by sorting on (from, to). Accumulate in
         // f64: an edge may aggregate hundreds of thousands of synapses
         // (e.g. a dense layer pair), where f32 summation would drift.
-        self.edges.sort_unstable_by_key(|&(f, t, _)| (f, t));
-        let mut agg: Vec<(u32, u32, f64)> = Vec::with_capacity(self.edges.len());
-        for (f, t, w) in self.edges {
-            match agg.last_mut() {
-                Some(last) if last.0 == f && last.1 == t => last.2 += w as f64,
-                _ => agg.push((f, t, w as f64)),
-            }
-        }
-        let agg: Vec<(u32, u32, f32)> =
-            agg.into_iter().map(|(f, t, w)| (f, t, w as f32)).collect();
         let n = self.neurons.len();
-        let m = agg.len();
+        if n == 0 {
+            return Err(ModelError::EmptyNetwork);
+        }
+        self.edges.sort_unstable_by_key(|&(f, t, _)| (f, t));
         let mut out_offsets = vec![0u64; n + 1];
-        let mut in_offsets = vec![0u64; n + 1];
-        for &(f, t, _) in &agg {
+        let mut out_to = Vec::with_capacity(self.edges.len());
+        let mut out_w = Vec::with_capacity(self.edges.len());
+        let mut last: Option<(u32, u32)> = None;
+        let mut sum = 0f64;
+        for (f, t, w) in self.edges {
+            if last == Some((f, t)) {
+                sum += w as f64;
+                continue;
+            }
+            if last.is_some() {
+                out_w.push(sum as f32);
+            }
+            last = Some((f, t));
+            sum = w as f64;
             out_offsets[f as usize + 1] += 1;
-            in_offsets[t as usize + 1] += 1;
+            out_to.push(t);
+        }
+        if last.is_some() {
+            out_w.push(sum as f32);
         }
         for i in 0..n {
             out_offsets[i + 1] += out_offsets[i];
-            in_offsets[i + 1] += in_offsets[i];
         }
-        let mut out_to = vec![0u32; m];
-        let mut out_w = vec![0f32; m];
-        let mut in_from = vec![0u32; m];
-        let mut in_w = vec![0f32; m];
-        let mut in_cursor = in_offsets.clone();
-        let mut total = 0f64;
-        // agg is sorted by (from, to), so the out CSR can be filled linearly.
-        for (k, &(f, t, w)) in agg.iter().enumerate() {
-            debug_assert!(k as u64 >= out_offsets[f as usize]);
-            out_to[k] = t;
-            out_w[k] = w;
-            let c = &mut in_cursor[t as usize];
-            in_from[*c as usize] = f;
-            in_w[*c as usize] = w;
-            *c += 1;
-            total += w as f64;
-        }
-        let total_neurons = self.neurons.iter().map(|&x| x as u64).sum();
-        let total_synapses = self.synapses.iter().sum();
-        Ok(Pcn {
-            neurons: self.neurons,
-            synapses: self.synapses,
-            out_offsets,
-            out_to,
-            out_w,
-            in_offsets,
-            in_from,
-            in_w,
-            total_traffic: total,
-            intra_traffic: self.intra,
-            total_neurons,
-            total_synapses,
-        })
+        Ok(Pcn::finish(self.neurons, self.synapses, out_offsets, out_to, out_w, self.intra))
     }
 }
 
@@ -437,6 +539,59 @@ mod tests {
         assert_eq!(p.intra_traffic().to_bits(), exact.to_bits());
         assert!(PcnBuilder::new().add_intra(f64::NAN).is_err());
         assert!(PcnBuilder::new().add_intra(-1.0).is_err());
+    }
+
+    #[test]
+    fn from_out_csr_takes_the_canonical_csr_the_builder_produces() {
+        let p = small();
+        let n = p.num_clusters();
+        let csr = |c: u32| p.out_edges(c).collect::<Vec<_>>();
+        let mut offsets = vec![0u64];
+        for c in 0..n {
+            offsets.push(offsets[c as usize] + csr(c).len() as u64);
+        }
+        let to = (0..n).flat_map(|c| csr(c).into_iter().map(|(t, _)| t)).collect();
+        let w = (0..n).flat_map(|c| csr(c).into_iter().map(|(_, w)| w)).collect();
+        let again =
+            Pcn::from_out_csr(vec![10; 4], vec![100; 4], offsets, to, w, p.intra_traffic())
+                .unwrap();
+        assert_eq!(again, p);
+        let in3: Vec<_> = again.in_edges(3).collect();
+        assert_eq!(in3, vec![(0, 2.0), (2, 1.0)], "in-rows are sorted by source");
+    }
+
+    #[test]
+    fn from_out_csr_rejects_non_canonical_rows() {
+        let make = |offsets: Vec<u64>, to: Vec<u32>, w: Vec<f32>, intra: f64| {
+            Pcn::from_out_csr(vec![1; 3], vec![1; 3], offsets, to, w, intra)
+        };
+        assert!(make(vec![0, 2, 2, 2], vec![1, 2], vec![1.0, 1.0], 0.0).is_ok());
+        let csr_error = |r: Result<Pcn, ModelError>, needle: &str| match r {
+            Err(ModelError::InvalidCsr { message }) => {
+                assert!(message.contains(needle), "{message}")
+            }
+            other => panic!("expected InvalidCsr with {needle:?}, got {other:?}"),
+        };
+        csr_error(make(vec![0, 2, 2, 2], vec![2, 1], vec![1.0; 2], 0.0), "strictly increasing");
+        csr_error(make(vec![0, 2, 2, 2], vec![1, 1], vec![1.0; 2], 0.0), "strictly increasing");
+        csr_error(make(vec![0, 1, 1, 1], vec![0], vec![1.0], 0.0), "self-loop");
+        csr_error(make(vec![0, 1, 1, 1], vec![3], vec![1.0], 0.0), "outside");
+        csr_error(make(vec![0, 9, 1, 1], vec![1], vec![1.0], 0.0), "monotone");
+        csr_error(make(vec![0, 1, 1, 2], vec![1], vec![1.0], 0.0), "0..=1");
+        csr_error(make(vec![0, 1, 1], vec![1], vec![1.0], 0.0), "offsets");
+        csr_error(make(vec![0, 1, 1, 1], vec![1], vec![], 0.0), "weights");
+        assert!(matches!(
+            make(vec![0, 1, 1, 1], vec![1], vec![-1.0], 0.0),
+            Err(ModelError::InvalidWeight { .. })
+        ));
+        assert!(matches!(
+            make(vec![0, 0, 0, 0], vec![], vec![], f64::NAN),
+            Err(ModelError::InvalidWeight { .. })
+        ));
+        assert!(matches!(
+            Pcn::from_out_csr(vec![], vec![], vec![0], vec![], vec![], 0.0),
+            Err(ModelError::EmptyNetwork)
+        ));
     }
 
     #[test]
