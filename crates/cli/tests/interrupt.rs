@@ -2,6 +2,8 @@
 //! terminate flag stops the run at the next sweep boundary, persists the
 //! best-so-far placement plus a resumable checkpoint, and exits 130 —
 //! and the checkpoint resumes to the byte-identical converged placement.
+//! A checkpoint in the retired v1 format fails `resume` with the exit
+//! code of any other invalid checkpoint.
 //!
 //! Lives in its own integration binary because the terminate flag is
 //! process-global: raising it here must not leak into the unit tests.
@@ -66,6 +68,31 @@ fn interrupted_map_checkpoints_and_resume_completes_it() {
         std::fs::read_to_string(&full).unwrap(),
         "interrupt + resume must match the uninterrupted run byte-for-byte"
     );
+
+    // A v1 checkpoint (which carried the force table) is refused with
+    // the exit code of a corrupt one, and the message names the version.
+    let text = std::fs::read_to_string(&cp).unwrap();
+    let v1 = dir.join("cp_v1.json");
+    std::fs::write(
+        &v1,
+        text.replacen("snnmap-checkpoint-v2", "snnmap-checkpoint-v1", 1)
+            .replacen("\"coords\"", "\"forces_bits\": [],\n  \"coords\"", 1),
+    )
+    .unwrap();
+    let corrupt = dir.join("cp_corrupt.json");
+    std::fs::write(&corrupt, text.replacen("\"sweeps\": ", "\"sweeps\": 1", 1)).unwrap();
+    let resume_err = |checkpoint: &std::path::Path| {
+        snnmap_cli::run(&sv(&[
+            "resume", pcn_s, "--checkpoint", checkpoint.to_str().unwrap(),
+            "--out", resumed.to_str().unwrap(),
+        ]))
+        .unwrap_err()
+    };
+    let (v1_err, corrupt_err) = (resume_err(&v1), resume_err(&corrupt));
+    assert!(v1_err.to_string().contains("snnmap-checkpoint-v1"), "{v1_err}");
+    assert!(corrupt_err.to_string().contains("integrity digest"), "{corrupt_err}");
+    assert_eq!(v1_err.exit_code(), corrupt_err.exit_code());
+    assert_eq!(v1_err.exit_code(), 1);
 
     // With the flag clear, the same command completes normally.
     snnmap_cli::run(&sv(&[

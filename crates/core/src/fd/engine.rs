@@ -222,21 +222,17 @@ pub struct RunBudget {
 
 /// A consistent snapshot of a Force-Directed run at a sweep boundary.
 ///
-/// Carries everything a bit-exact resume needs. The force table is part
-/// of the snapshot because forces are maintained *incrementally* during
-/// sweeps: floating-point addition is non-associative, so a from-scratch
-/// force rebuild would differ from the incrementally patched values in
-/// the low bits — restoring the table verbatim is what makes a resumed
-/// run byte-identical to the uninterrupted one.
+/// Carries everything a bit-exact resume needs. The force table is not
+/// part of it: the engine rounds its weights once onto a dyadic grid on
+/// which every force sum is exact, so the incrementally patched forces
+/// equal a from-scratch rebuild at the snapshot's coordinates bit for
+/// bit, and a resume simply rebuilds them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FdCheckpoint {
     /// The mesh the run targets.
     pub mesh: Mesh,
     /// Coordinate of every cluster at the snapshot.
     pub coords: Vec<Coord>,
-    /// The incrementally maintained force record of every cluster
-    /// (eq. 27), `[UP, DOWN, LEFT, RIGHT]`.
-    pub forces: Vec<[f64; 4]>,
     /// Sweeps completed.
     pub sweeps: u64,
     /// Swaps applied.
@@ -260,8 +256,6 @@ pub struct FdResume {
     pub swaps: u64,
     /// System energy of the original input placement.
     pub initial_energy: f64,
-    /// Force table to restore verbatim (see [`FdCheckpoint::forces`]).
-    pub forces: Vec<[f64; 4]>,
 }
 
 impl FdResume {
@@ -271,7 +265,6 @@ impl FdResume {
             sweeps: checkpoint.sweeps,
             swaps: checkpoint.swaps,
             initial_energy: checkpoint.initial_energy,
-            forces: checkpoint.forces.clone(),
         }
     }
 }
@@ -579,8 +572,8 @@ fn collect_queue(
 /// [`HwError::FaultyCore`] (wrapped in [`CoreError::Hw`]) if the input
 /// placement already occupies a dead core; [`CoreError::InvalidLambda`]
 /// for λ outside `(0, 1]`; [`CoreError::InvalidRunOpts`] for inconsistent
-/// options (zero `checkpoint_every`, wrong resume force-table or region
-/// length, a board over another mesh); [`CoreError::CheckpointFailed`]
+/// options (zero `checkpoint_every`, a wrong region length, a board over
+/// another mesh); [`CoreError::CheckpointFailed`]
 /// when the checkpoint writer fails; and [`CoreError::WorkerPanicked`]
 /// when a parallel worker panics (the checkpoint writer is invoked
 /// best-effort first; the placement is left untouched).
@@ -659,14 +652,13 @@ pub fn force_directed<S: TraceSink + ?Sized>(
     engine.set_region(region.as_deref())?;
     let start = Instant::now();
 
-    // A resume seeds the counters and restores the incrementally built
-    // force table verbatim (see [`FdCheckpoint`]); a fresh run computes
-    // the initial energy from scratch.
+    // A resume seeds the counters (the engine has already rebuilt the
+    // forces from the restored coordinates, see [`FdCheckpoint`]); a
+    // fresh run computes the initial energy from scratch.
     let mut iterations = 0u64;
     let mut swaps = 0u64;
     let initial_energy = match resume.as_ref() {
         Some(r) => {
-            engine.restore_forces(&r.forces)?;
             iterations = r.sweeps;
             swaps = r.swaps;
             r.initial_energy
@@ -729,7 +721,7 @@ pub fn force_directed<S: TraceSink + ?Sized>(
     // whose result is exactly the prefix a full sort would yield
     // (cmp_entries is a strict total order). On resume the full initial
     // scan reproduces the uninterrupted run's queue (tension is a pure
-    // function of occupancy and the restored forces).
+    // function of occupancy and the rebuilt forces).
     //
     // Region-restricted runs (incremental fault repair, multilevel
     // halos) precompute the key list with both endpoints inside the
@@ -1049,10 +1041,13 @@ struct Hot {
     /// `force[d]`: energy reduction from moving this cluster one step in
     /// direction `d` (eq. 27), maintained incrementally across swaps.
     ///
-    /// Never `-0.0`: every force starts as a `+0.0` sum, is only ever
-    /// changed by round-to-nearest additions (which cannot produce
-    /// `-0.0` from a `+0.0` or nonzero operand), and a restored table is
-    /// canonicalized. So adding a `±0.0` term never changes a force's
+    /// Exact: every term is a grid weight times an integer step (see
+    /// [`snap_weights`]), and no partial sum reaches 2^53 grid units, so
+    /// each addition is exact whatever its order. A patched force
+    /// therefore equals a fresh [`Engine::init_hot`] build bit for bit.
+    /// Never `-0.0`: every force starts as a `+0.0` sum and a
+    /// round-to-nearest addition cannot produce `-0.0` from a `+0.0` or
+    /// nonzero operand, so adding a `±0.0` term never changes a force's
     /// bits, which is what lets the move-only patch skip the two slots
     /// across the move axis.
     force: [f64; 4],
@@ -1062,6 +1057,71 @@ struct Hot {
 #[inline]
 fn sig_bit(k: u32) -> u64 {
     1u64 << (k % 64)
+}
+
+/// `2^e` as an `f64`, built from its bits (`e` within the normal range).
+fn pow2(e: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&e), "2^{e} is not a normal f64");
+    f64::from_bits(((e + 1023) as u64) << 52)
+}
+
+/// Exponent of the lowest set bit of a nonzero finite `f32`: the weight
+/// is an odd multiple of `2^e`.
+fn lowest_bit_exp(w: f32) -> i32 {
+    let bits = w.to_bits() & 0x7fff_ffff;
+    let (exp, man) = ((bits >> 23) as i32, bits & 0x7f_ffff);
+    if exp == 0 {
+        man.trailing_zeros() as i32 - 149
+    } else {
+        (man | 0x80_0000).trailing_zeros() as i32 + exp - 150
+    }
+}
+
+/// `⌈log2 x⌉` of a positive normal `f64`, from its bits.
+fn ceil_log2(x: f64) -> i32 {
+    let bits = x.to_bits();
+    ((bits >> 52) & 0x7ff) as i32 - 1023 + i32::from(bits & ((1 << 52) - 1) != 0)
+}
+
+/// Rounds every weight of the merged adjacency once onto the finest
+/// dyadic grid `2^-k` on which no force, patch or tension can reach
+/// `2^53` grid units, and returns `k`.
+///
+/// Every step difference is an integer of magnitude at most
+/// `S = 2(rows + cols) + 1`, so a force is at most `W·S` and a tension
+/// or patch at most `4·W·S`, where `W` is the largest merged-row weight
+/// sum. With `k = min(k_exact, 52 − ⌈log2(4·W·S)⌉)`, where `k_exact` is
+/// the grid every weight already lies on, each such value is an integer
+/// number of grid units below `2^53`: every `f64` force sum is then
+/// exact, hence associative and independent of the order of its
+/// additions. On typical inputs `k = k_exact` and no weight changes.
+/// Only bit and integer operations are used, so the build links no
+/// libm. An all-zero PCN has nothing to round (`k = 0`).
+fn snap_weights(adj: &mut [(u32, f32)], adj_off: &[u32], rows: usize, cols: usize) -> i32 {
+    let Some(k_exact) = adj.iter().filter(|e| e.1 != 0.0).map(|e| -lowest_bit_exp(e.1)).max()
+    else {
+        return 0;
+    };
+    let mut w_max = 0.0f64;
+    for r in adj_off.windows(2) {
+        let w: f64 = adj[r[0] as usize..r[1] as usize].iter().map(|e| f64::from(e.1)).sum();
+        if w > w_max {
+            w_max = w;
+        }
+    }
+    let span = (2 * (rows + cols) + 1) as f64;
+    let k = k_exact.min(52 - ceil_log2(4.0 * w_max * span));
+    if k < k_exact {
+        // Adding `c = 1.5·2^(52−k)` rounds `w` to the nearest multiple of
+        // ulp(c) = 2^-k (ties to even); `w < 2^(50−k)`, so the sum stays
+        // in c's binade and subtracting `c` is exact. The result keeps
+        // at most `w`'s own significant bits, so it is an exact `f32`.
+        let c = 1.5 * pow2(52 - k);
+        for e in adj.iter_mut() {
+            e.1 = ((f64::from(e.1) + c) - c) as f32;
+        }
+    }
+    k
 }
 
 /// The mutable state of one FD run: flat occupancy tables plus the
@@ -1076,7 +1136,10 @@ struct Engine<'a> {
     cols: usize,
     potential: Potential,
     tension_mode: TensionMode,
-    unit_step: f64,
+    /// `2^(53−k)` for the weight grid `2^-k` (see [`snap_weights`]):
+    /// every pure-energy tension stays strictly below it, which debug
+    /// builds assert.
+    tension_limit: f64,
     threads: usize,
     /// SoA mesh coordinate tables, split from the flat `(x, y)` table:
     /// `mesh_x[p]`/`mesh_y[p]` are the row/column of mesh index `p`.
@@ -1092,8 +1155,8 @@ struct Engine<'a> {
     cy: Vec<f64>,
     /// Merged adjacency CSR: row `c` is `out_edges(c)` followed by
     /// `in_edges(c)`, so force work walks one contiguous row per
-    /// cluster. f32→f64 weight conversion is exact, so precomputing
-    /// nothing here changes any sum.
+    /// cluster. Its weights are the PCN's, rounded once onto the grid of
+    /// [`snap_weights`]; the reported energy still reads the PCN's own.
     adj_off: Vec<u32>,
     adj: Vec<(u32, f32)>,
     /// Per-cluster packed hot state (neighbour signature + force).
@@ -1217,6 +1280,7 @@ impl<'a> Engine<'a> {
             adj.extend(pcn.in_edges(c));
             adj_off.push(u32::try_from(adj.len()).expect("adjacency exceeds u32 offsets"));
         }
+        let grid = snap_weights(&mut adj, &adj_off, mesh.rows() as usize, mesh.cols() as usize);
         let coords = mesh.coord_table();
         let mesh_x: Vec<u16> = coords.iter().map(|c| c.x).collect();
         let mesh_y: Vec<u16> = coords.iter().map(|c| c.y).collect();
@@ -1232,8 +1296,15 @@ impl<'a> Engine<'a> {
         } else {
             let cluster_xy: Vec<(u16, u16)> =
                 pos.iter().map(|&p| (mesh_x[p as usize], mesh_y[p as usize])).collect();
+            // EnergyModel runs the u_a kernel (see `fd::potential`); its
+            // slope matters only where the composite adds other terms.
+            let energy_slope = match potential {
+                Potential::EnergyModel { en_r, en_w } => en_r + en_w,
+                _ => 1.0,
+            };
             Some(ObjectiveState::new(
                 objective,
+                energy_slope,
                 pcn,
                 &cluster_xy,
                 mesh.rows(),
@@ -1249,7 +1320,7 @@ impl<'a> Engine<'a> {
             cols: mesh.cols() as usize,
             potential,
             tension_mode,
-            unit_step: potential.unit_step(),
+            tension_limit: pow2(53 - grid),
             threads,
             mesh_x,
             mesh_y,
@@ -1307,32 +1378,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Overwrites every cluster's force record with a checkpointed table
-    /// (see [`FdCheckpoint::forces`] for why verbatim restore matters).
-    fn restore_forces(&mut self, forces: &[[f64; 4]]) -> Result<(), CoreError> {
-        if forces.len() != self.hot.len() {
-            return Err(CoreError::InvalidRunOpts {
-                message: format!(
-                    "resume force table covers {} clusters but the PCN has {}",
-                    forces.len(),
-                    self.hot.len()
-                ),
-            });
-        }
-        // A table this engine wrote holds no -0.0 (see `Hot::force`);
-        // canonicalize a foreign one so the invariant holds on resume.
-        for (h, f) in self.hot.iter_mut().zip(forces) {
-            h.force = f.map(|v| if v == 0.0 { 0.0 } else { v });
-        }
-        Ok(())
-    }
-
     /// Snapshots the engine at a sweep boundary.
     fn checkpoint(&self, sweeps: u64, swaps: u64, initial_energy: f64, energy: f64) -> FdCheckpoint {
         FdCheckpoint {
             mesh: self.mesh,
             coords: self.cluster_coords(),
-            forces: self.hot.iter().map(|h| h.force).collect(),
             sweeps,
             swaps,
             initial_energy,
@@ -1444,14 +1494,17 @@ impl<'a> Engine<'a> {
         t
     }
 
-    /// One [`ENERGY_BLOCK`]-sized block of the system-energy reduction.
-    fn energy_block<K: PotKernel>(&self, k: K, range: std::ops::Range<usize>) -> f64 {
+    /// One [`ENERGY_BLOCK`]-sized block of the system-energy reduction:
+    /// the PCN's own weights times the potential's value (eq. 25 for
+    /// [`Potential::EnergyModel`]).
+    fn energy_block(&self, range: std::ops::Range<usize>) -> f64 {
+        let pot = self.potential;
         let mut es = 0.0;
         for c in range {
             let hx = self.cx[c];
             let hy = self.cy[c];
             for (t, w) in self.pcn.out_edges(c as u32) {
-                es += w as f64 * k.u(hx - self.cx[t as usize], hy - self.cy[t as usize]);
+                es += w as f64 * pot.at(hx - self.cx[t as usize], hy - self.cy[t as usize]);
             }
         }
         es
@@ -1462,11 +1515,7 @@ impl<'a> Engine<'a> {
     /// identical for any thread count.
     fn try_system_energy(&self) -> Result<f64, par::WorkerPanic> {
         let n = self.pcn.num_clusters() as usize;
-        with_kernel!(self.potential, k => {
-            par::try_par_block_sum(self.threads, n, ENERGY_BLOCK, |range| {
-                self.energy_block(k, range)
-            })
-        })
+        par::try_par_block_sum(self.threads, n, ENERGY_BLOCK, |range| self.energy_block(range))
     }
 
     /// [`Engine::try_system_energy`] forced onto the serial path
@@ -1474,9 +1523,7 @@ impl<'a> Engine<'a> {
     /// code that must not re-enter the parallel helpers.
     fn system_energy_serial(&self) -> f64 {
         let n = self.pcn.num_clusters() as usize;
-        with_kernel!(self.potential, k => {
-            par::par_block_sum(1, n, ENERGY_BLOCK, |range| self.energy_block(k, range))
-        })
+        par::par_block_sum(1, n, ENERGY_BLOCK, |range| self.energy_block(range))
     }
 
     /// Initial hot record of cluster `c`: its neighbour signature plus
@@ -1524,46 +1571,59 @@ impl<'a> Engine<'a> {
         m
     }
 
-    /// The tension of an adjacent pair (eq. 30): the exact system-energy
-    /// reduction its swap would produce. For a connected pair the naive
-    /// sum of the two forces double-counts the mutual edge (whose length
-    /// a swap preserves), so that term is corrected out.
-    fn tension(&self, key: u64) -> f64 {
-        let (p, d) = self.decode(key);
-        let Some(q) = self.step(p, d) else { return 0.0 };
+    /// Whether the adjacent pair `(p, q)` may not swap: it carries zero
+    /// tension whatever the forces say.
+    #[inline]
+    fn frozen(&self, p: usize, q: usize) -> bool {
         // A pair touching a dead core carries no tension: dead cores stay
         // empty, and forbidding these swaps keeps descent monotone over
         // the healthy subgraph.
         if self.is_dead_pos(p) || self.is_dead_pos(q) {
-            return 0.0;
+            return true;
         }
         // Same idea for a repair region: pairs with an endpoint outside
         // the active region are frozen, so the rest of the mesh is
         // untouched by construction.
         if !self.active.is_empty() && (!self.active[p] || !self.active[q]) {
-            return 0.0;
+            return true;
         }
-        let cu = self.occ[p];
-        let cv = self.occ[q];
         // Capacity filter (board runs only): freeze any pair whose swap
         // would land an occupant on a core that cannot admit it. Like the
         // dead/region masks above, this is a pure function of occupancy
         // and static tables, so cached clean-pair tensions stay valid and
         // the run is bit-identical for every thread count.
         if !self.cap_n.is_empty() {
+            let (cu, cv) = (self.occ[p], self.occ[q]);
             if cu != EMPTY
                 && (self.need_n[cu as usize] > self.cap_n[q]
                     || self.need_s[cu as usize] > self.cap_s[q])
             {
-                return 0.0;
+                return true;
             }
             if cv != EMPTY
                 && (self.need_n[cv as usize] > self.cap_n[p]
                     || self.need_s[cv as usize] > self.cap_s[p])
             {
-                return 0.0;
+                return true;
             }
         }
+        false
+    }
+
+    /// The tension of an adjacent pair (eq. 30): the exact system-energy
+    /// reduction its swap would produce. For a connected pair the naive
+    /// sum of the two forces double-counts the mutual edge (whose length
+    /// a swap preserves), so that term is corrected out. Each force
+    /// counts the mutual weight `w` once at `u(unit) − u(0)`, which is 1
+    /// for every force kernel, so the correction is `2·w`.
+    fn tension(&self, key: u64) -> f64 {
+        let (p, d) = self.decode(key);
+        let Some(q) = self.step(p, d) else { return 0.0 };
+        if self.frozen(p, q) {
+            return 0.0;
+        }
+        let cu = self.occ[p];
+        let cv = self.occ[q];
         let base = if cu == EMPTY {
             if cv == EMPTY {
                 return 0.0;
@@ -1585,11 +1645,15 @@ impl<'a> Engine<'a> {
                     } else {
                         self.mutual_weight(cu, cv)
                     };
-                    naive - 2.0 * mutual * self.unit_step
+                    naive - 2.0 * mutual
                 }
                 TensionMode::PaperNaive => naive,
             }
         };
+        debug_assert!(
+            base.abs() < self.tension_limit,
+            "tension {base} of pair key {key} reaches 2^53 grid units"
+        );
         // Composite objectives add the exact decrease of the λ-weighted
         // congestion / latency-tail terms. Like `base`, this is a pure
         // function of the pair's and its graph neighbours' positions, so
@@ -1599,7 +1663,7 @@ impl<'a> Engine<'a> {
         match &self.obj {
             None => base,
             Some(st) => {
-                st.energy_w * base
+                st.energy_tension_w * base
                     + st.swap_gain(
                         self.pcn,
                         &self.pos,
@@ -1811,7 +1875,6 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fd::potential::KL2Sq;
     use crate::{hsc_placement, random_placement};
     use snnmap_hw::CostModel;
     use snnmap_metrics::energy;
@@ -1946,13 +2009,66 @@ mod tests {
         }
     }
 
-    fn l2_engine<'a>(pcn: &'a Pcn, p: &'a mut Placement) -> Engine<'a> {
-        let pot = Potential::L2Squared;
-        Engine::new(pcn, p, pot, TensionMode::Exact, Objective::Energy, None, None, 1).unwrap()
+    const POTENTIALS: [Potential; 4] = [
+        Potential::L1,
+        Potential::L1Squared,
+        Potential::L2Squared,
+        Potential::EnergyModel { en_r: 20.0, en_w: 2.4 },
+    ];
+
+    /// Xorshift64: the deterministic stream the exactness tests draw from.
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
     }
 
-    fn assert_forces_identical(a: &Engine, b: &Engine, at: &str) {
-        for (c, (ha, hb)) in a.hot.iter().zip(&b.hot).enumerate() {
+    /// A PCN whose weights span 2^-30 … 2^12 (43 binades) with random
+    /// 24-bit significands, mutual edges included, and two cluster sizes
+    /// for a board's capacity filter to tell apart.
+    fn wide_binade_pcn(n: u32, edges: usize, seed: u64) -> Pcn {
+        let mut rng = seed;
+        let mut b = PcnBuilder::new();
+        for c in 0..n {
+            b.add_cluster(if c % 3 == 0 { 8 } else { 2 }, 16);
+        }
+        for i in 0..edges {
+            let r = xorshift(&mut rng);
+            let from = (r % u64::from(n)) as u32;
+            let to = if i % 5 == 0 && i > 0 { from.wrapping_sub(1) % n } else { (r >> 20) as u32 % n };
+            let exp = (r >> 40) % 43;
+            let w = f32::from_bits(((exp as u32 + 127 - 30) << 23) | (r as u32 & 0x7f_ffff));
+            b.add_edge(from, to, w).unwrap();
+            if i % 4 == 0 {
+                b.add_edge(to, from, w * 0.75).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Places clusters in id order, each on the first core of a scrambled
+    /// order that is alive, free and admits it.
+    fn feasible_placement(pcn: &Pcn, mesh: Mesh, fm: &FaultMap, board: &Board) -> Placement {
+        let mut cores: Vec<Coord> = mesh.iter().filter(|&c| !fm.is_dead(c)).collect();
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for i in (1..cores.len()).rev() {
+            cores.swap(i, xorshift(&mut rng) as usize % (i + 1));
+        }
+        let mut p = Placement::new_unplaced(mesh, pcn.num_clusters());
+        for c in 0..pcn.num_clusters() {
+            let at = cores
+                .iter()
+                .position(|&k| board.admits(k, pcn.neurons_in(c), pcn.synapses_in(c)))
+                .expect("a feasible core is left");
+            p.place(c, cores.remove(at)).unwrap();
+        }
+        p
+    }
+
+    fn assert_hot_identical(a: &[Hot], b: &[Hot], at: &str) {
+        for (c, (ha, hb)) in a.iter().zip(b).enumerate() {
+            assert_eq!(ha.sig, hb.sig, "{at}: cluster {c} signature");
             for d in 0..4 {
                 let (fa, fb) = (ha.force[d], hb.force[d]);
                 assert_eq!(fa.to_bits(), fb.to_bits(), "{at}: cluster {c} slot {d}: {fa} vs {fb}");
@@ -1961,63 +2077,213 @@ mod tests {
         }
     }
 
-    #[test]
-    fn closed_form_swaps_match_the_generic_kernel_bitwise() {
-        // 24 clusters on 36 cores: a third of the cells are empty, so the
-        // sequence moves clusters into empty cells as well as swapping
-        // occupied pairs, and a 6×6 mesh puts many pairs on its border.
-        let pcn = random_pcn(24, 3.0, 11).unwrap();
-        let mesh = Mesh::new(6, 6).unwrap();
-        let mut pa = random_placement(&pcn, mesh, 5, None).unwrap();
-        let mut pb = pa.clone();
-        let mut a = l2_engine(&pcn, &mut pa);
-        let mut b = l2_engine(&pcn, &mut pb);
-        for c in 0..b.hot.len() {
-            b.hot[c] = b.init_hot(KL2SqGeneric, c as u32);
+    /// Clusters whose hot records the swap of `key` may touch: the two
+    /// occupants and their graph neighbours.
+    fn footprint(e: &Engine, key: u64) -> Vec<u32> {
+        let (p, d) = e.decode(key);
+        let q = e.step(p, d).unwrap();
+        let mut f = Vec::new();
+        for c in [e.occ[p], e.occ[q]] {
+            if c != EMPTY {
+                f.push(c);
+                f.extend(e.row(c).iter().map(|&(k, _)| k));
+            }
         }
-        assert_forces_identical(&a, &b, "initial build");
+        f
+    }
 
-        let mut stamp_a = vec![0u32; mesh.len()];
-        let mut stamp_b = vec![0u32; mesh.len()];
-        let (mut moves_into_empty, mut border_pairs) = (0, 0);
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        for epoch in 1..=3000u32 {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let p = (rng >> 8) as usize % mesh.len();
-            let d = if rng & 1 == 0 { DOWN } else { RIGHT };
-            let Some(key) = a.pair_key(p, d) else { continue };
-            let q = a.step(p, d).unwrap();
-            if (a.occ[p] == EMPTY) != (a.occ[q] == EMPTY) {
-                moves_into_empty += 1;
-            }
-            let on_border = |p: usize| {
-                let (x, y) = (a.mesh_x[p] as usize, a.mesh_y[p] as usize);
-                x == 0 || y == 0 || x + 1 == a.rows || y + 1 == a.cols
-            };
-            if on_border(p) && on_border(q) {
-                border_pairs += 1;
-            }
-            a.swap_with(KL2Sq, key, epoch, &mut stamp_a);
-            b.swap_with(KL2SqGeneric, key, epoch, &mut stamp_b);
-            assert_eq!(a.occ, b.occ);
-            assert_eq!(stamp_a, stamp_b, "swap {epoch}: stamped positions differ");
-            assert_forces_identical(&a, &b, &format!("swap {epoch}"));
-        }
-        assert!(moves_into_empty > 100, "only {moves_into_empty} moves into empty cells");
-        assert!(border_pairs > 100, "only {border_pairs} border pairs");
+    /// An engine under a fault mask, a board and a region mask.
+    fn masked_engine<'a>(
+        pcn: &'a Pcn,
+        p: &'a mut Placement,
+        pot: Potential,
+        threads: usize,
+        (fm, board, region): (&FaultMap, &Board, &[bool]),
+    ) -> Engine<'a> {
+        let obj = Objective::Energy;
+        let mut e =
+            Engine::new(pcn, p, pot, TensionMode::Exact, obj, Some(fm), Some(board), threads).unwrap();
+        e.set_region(Some(region)).unwrap();
+        e
     }
 
     #[test]
-    fn restored_negative_zero_forces_are_canonicalized() {
-        let pcn = random_pcn(4, 2.0, 3).unwrap();
-        let mut p = random_placement(&pcn, Mesh::new(2, 2).unwrap(), 1, None).unwrap();
-        let mut engine = l2_engine(&pcn, &mut p);
-        engine.restore_forces(&[[-0.0, 0.0, -1.5, 2.0]; 4]).unwrap();
-        for h in &engine.hot {
-            let bits = h.force.map(f64::to_bits);
-            assert_eq!(bits, [0.0, 0.0, -1.5, 2.0].map(f64::to_bits));
+    fn closed_form_swaps_match_the_generic_kernel_bitwise() {
+        // Exactness of the incremental forces. Weights over 43 binades
+        // force the grid to round; every potential runs with a fault
+        // mask, a board capacity filter and a region mask, at 1 and 4
+        // threads. After every swap each patched force equals a fresh
+        // `init_hot` build bit for bit (for u_c also through the generic
+        // two-call kernel and patch), and two swaps with disjoint
+        // footprints commute bit for bit.
+        let pcn = wide_binade_pcn(40, 120, 0x9e37_79b9_7f4a_7c15);
+        let mut board = Board::parse("2x2/4x4@64,4096").unwrap();
+        let mesh = board.mesh();
+        let small = snnmap_hw::CoreConstraints::new(4, 4096).unwrap();
+        for i in [1u16, 9, 18, 27, 36, 45, 54] {
+            board.set_constraints(mesh.coord_of_index(i as usize), small).unwrap();
+        }
+        let mut fm = FaultMap::new(mesh);
+        for i in [5usize, 22, 40, 61] {
+            fm.kill_core(mesh.coord_of_index(i)).unwrap();
+        }
+        // The last column is frozen.
+        let region: Vec<bool> = mesh.iter().map(|c| c.y + 1 < mesh.cols()).collect();
+        let base = feasible_placement(&pcn, mesh, &fm, &board);
+        let masks = (&fm, &board, region.as_slice());
+        let mut rounded = false;
+        for threads in [1, 4] {
+            for pot in POTENTIALS {
+                let (mut pa, mut pb) = (base.clone(), base.clone());
+                let mut a = masked_engine(&pcn, &mut pa, pot, threads, masks);
+                let mut b = masked_engine(&pcn, &mut pb, pot, threads, masks);
+                rounded |= (0..pcn.num_clusters()).any(|c| {
+                    pcn.out_edges(c).zip(a.row(c)).any(|((_, w), &(_, g))| w.to_bits() != g.to_bits())
+                });
+                let fresh = |e: &Engine| -> Vec<Hot> {
+                    (0..e.hot.len() as u32)
+                        .map(|c| with_kernel!(pot, k => e.init_hot(k, c)))
+                        .collect()
+                };
+                assert_hot_identical(&a.hot, &fresh(&a), &format!("{pot:?} initial build"));
+                let mut stamp_a = vec![0u32; mesh.len()];
+                let mut stamp_b = vec![0u32; mesh.len()];
+                let (mut swaps, mut moves_into_empty, mut commuted) = (0, 0, 0);
+                let mut rng = 0x853c_49e6_748f_ea9bu64 ^ threads as u64;
+                for epoch in 1..=1500u32 {
+                    let r = xorshift(&mut rng);
+                    let p = (r >> 8) as usize % mesh.len();
+                    let d = if r & 1 == 0 { DOWN } else { RIGHT };
+                    let Some(key) = a.pair_key(p, d) else { continue };
+                    let q = a.step(p, d).unwrap();
+                    assert!(!a.tension(key).is_nan());
+                    if a.frozen(p, q) || (a.occ[p] == EMPTY && a.occ[q] == EMPTY) {
+                        continue;
+                    }
+                    if (a.occ[p] == EMPTY) != (a.occ[q] == EMPTY) {
+                        moves_into_empty += 1;
+                    }
+                    with_kernel!(pot, k => a.swap_with(k, key, epoch, &mut stamp_a));
+                    if pot == Potential::L2Squared {
+                        b.swap_with(KL2SqGeneric, key, epoch, &mut stamp_b);
+                        assert_eq!(stamp_a, stamp_b, "swap {epoch}: stamped positions differ");
+                        assert_hot_identical(&a.hot, &b.hot, &format!("generic patch, swap {epoch}"));
+                        let generic: Vec<Hot> = (0..a.hot.len() as u32)
+                            .map(|c| a.init_hot(KL2SqGeneric, c))
+                            .collect();
+                        assert_hot_identical(&a.hot, &generic, &format!("generic build, swap {epoch}"));
+                    }
+                    swaps += 1;
+                    let at = format!("{pot:?} at {threads} threads, swap {epoch}");
+                    assert_hot_identical(&a.hot, &fresh(&a), &at);
+
+                    // Every 50 swaps: two swaps with disjoint footprints,
+                    // applied in both orders to two copies of the state.
+                    if swaps % 50 == 0 {
+                        let mut keys = Vec::new();
+                        for _ in 0..200 {
+                            let r = xorshift(&mut rng);
+                            let p = (r >> 8) as usize % mesh.len();
+                            let d = if r & 1 == 0 { DOWN } else { RIGHT };
+                            if let Some(k) = a.pair_key(p, d) {
+                                let q = a.step(p, d).unwrap();
+                                if !a.frozen(p, q) && (a.occ[p] != EMPTY || a.occ[q] != EMPTY) {
+                                    keys.push(k);
+                                }
+                            }
+                        }
+                        let pair = keys.iter().enumerate().find_map(|(i, &k1)| {
+                            let f1 = footprint(&a, k1);
+                            let (p1, d1) = a.decode(k1);
+                            let cells1 = [p1, a.step(p1, d1).unwrap()];
+                            keys[i + 1..].iter().copied().find(|&k2| {
+                                let (p2, d2) = a.decode(k2);
+                                let cells2 = [p2, a.step(p2, d2).unwrap()];
+                                !cells1.iter().any(|c| cells2.contains(c))
+                                    && !footprint(&a, k2).iter().any(|c| f1.contains(c))
+                            })
+                            .map(|k2| (k1, k2))
+                        });
+                        let Some((k1, k2)) = pair else { continue };
+                        let coords = a.cluster_coords();
+                        let (mut px, mut py) = (base.clone(), base.clone());
+                        px.set_coords(&coords).unwrap();
+                        py.set_coords(&coords).unwrap();
+                        let mut x = masked_engine(&pcn, &mut px, pot, threads, masks);
+                        let mut y = masked_engine(&pcn, &mut py, pot, threads, masks);
+                        let mut stamp = vec![0u32; mesh.len()];
+                        with_kernel!(pot, k => {
+                            x.swap_with(k, k1, 1, &mut stamp);
+                            x.swap_with(k, k2, 1, &mut stamp);
+                            y.swap_with(k, k2, 1, &mut stamp);
+                            y.swap_with(k, k1, 1, &mut stamp);
+                        });
+                        assert_eq!(x.occ, y.occ);
+                        assert_hot_identical(&x.hot, &y.hot, &format!("{at}: commuted pair"));
+                        commuted += 1;
+                    }
+                }
+                assert!(swaps > 300, "{pot:?}: only {swaps} swaps");
+                assert!(moves_into_empty > 30, "{pot:?}: only {moves_into_empty} moves into empty cells");
+                assert!(commuted > 3, "{pot:?}: only {commuted} commuted pairs");
+            }
+        }
+        assert!(rounded, "the weights must need rounding for this test to bite");
+    }
+
+    #[test]
+    fn extreme_weights_build_an_exact_grid_and_descend() {
+        // Each case builds the engine (whose tensions debug builds assert
+        // to stay below 2^53 grid units), and FD descends.
+        let tiny = f32::from_bits(1); // the smallest subnormal, 2^-149
+        let cases: Vec<(&str, Vec<f32>, Mesh)> = vec![
+            ("all-zero", vec![0.0; 12], Mesh::new(8, 8).unwrap()),
+            ("f32::MAX", vec![f32::MAX, 1.0, 3.5, 0.25], Mesh::new(8, 8).unwrap()),
+            ("subnormal", vec![tiny, 1.0, 3.5, 0.25], Mesh::new(8, 8).unwrap()),
+            (
+                "2^-126..2^100 on 1024x1024",
+                (0..=226).step_by(2).map(|e| f32::from_bits((e + 1) << 23)).collect(),
+                Mesh::new(1024, 1024).unwrap(),
+            ),
+        ];
+        for (name, weights, mesh) in cases {
+            let n = 16u32;
+            let mut b = PcnBuilder::new();
+            for _ in 0..n {
+                b.add_cluster(1, 1);
+            }
+            for (i, &w) in weights.iter().enumerate() {
+                let from = i as u32 % n;
+                b.add_edge(from, (from + 1 + i as u32 / n) % n, w).unwrap();
+            }
+            let pcn = b.build().unwrap();
+            for pot in POTENTIALS {
+                let mut p = random_placement(&pcn, mesh, 3, None).unwrap();
+                let cfg = FdConfig { potential: pot, max_iterations: Some(5), ..FdConfig::default() };
+                let stats = fd(&pcn, &mut p, &cfg).unwrap();
+                assert!(stats.final_energy.is_finite(), "{name} {pot:?}");
+                if name == "all-zero" {
+                    assert_eq!(stats.swaps, 0, "{name} {pot:?}");
+                    assert_eq!(stats.final_energy, stats.initial_energy);
+                } else {
+                    assert!(stats.swaps > 0, "{name} {pot:?}: no swap");
+                    assert!(
+                        stats.final_energy < stats.initial_energy,
+                        "{name} {pot:?}: {} vs {}",
+                        stats.final_energy,
+                        stats.initial_energy
+                    );
+                }
+                let mut scratch = p.clone();
+                let e = Engine::new(
+                    &pcn, &mut scratch, pot, TensionMode::Exact, Objective::Energy, None, None, 1,
+                )
+                .unwrap();
+                for key in 0..2 * mesh.len() as u64 {
+                    let t = e.tension(key);
+                    assert!(t.abs() < e.tension_limit, "{name} {pot:?}: tension {t}");
+                }
+            }
         }
     }
 
@@ -2087,6 +2353,29 @@ mod tests {
             stats.final_energy,
             mec
         );
+    }
+
+    #[test]
+    fn energy_model_swaps_exactly_like_l1() {
+        // Eq. 25 is a positive affine map of u_a, and the engine runs the
+        // u_a kernel for it: same placement, sweeps and swaps, with only
+        // the reported energies on eq. 25's scale.
+        let cost = CostModel::paper_target();
+        for pcn in [random_pcn(300, 5.0, 4).unwrap(), wide_binade_pcn(200, 900, 17)] {
+            for seed in [1, 2, 3] {
+                let base = random_placement(&pcn, Mesh::new(18, 18).unwrap(), seed, None).unwrap();
+                let run = |potential| {
+                    let mut p = base.clone();
+                    let stats = fd(&pcn, &mut p, &FdConfig { potential, ..FdConfig::default() });
+                    (p, stats.unwrap())
+                };
+                let (pl1, sl1) = run(Potential::L1);
+                let (pen, sen) = run(Potential::energy_model(cost));
+                assert_eq!(pl1, pen, "seed {seed}");
+                assert_eq!((sl1.iterations, sl1.swaps), (sen.iterations, sen.swaps), "seed {seed}");
+                assert!(sen.final_energy < sen.initial_energy);
+            }
+        }
     }
 
     #[test]

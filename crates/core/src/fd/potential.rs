@@ -7,12 +7,23 @@
 //! its endpoint takes the unit step `o`. The kernels below make that
 //! difference cheap without changing a single result bit:
 //!
-//! * **Branch-free float arithmetic** — [`Potential::value`] computes
-//!   `|dx| + |dy|` and `dx² + dy²` on `f64` scalars with `abs`, multiply
-//!   and add only (float `abs` is a sign-bit mask, not a compare).
-//!   Coordinates are mesh indices (`< 2¹⁶`), so every operation below is
-//!   exact and bit-identical to the integer arithmetic it replaced — the
+//! * **Branch-free float arithmetic** — the kernels compute `|dx| + |dy|`
+//!   and `dx² + dy²` on `f64` scalars with `abs`, multiply and add only
+//!   (float `abs` is a sign-bit mask, not a compare). Coordinates are
+//!   mesh indices (`< 2¹⁶`), so every operation below is exact and
+//!   bit-identical to the integer arithmetic it replaced — the
 //!   provenance digests hold.
+//! * **Exact integer steps** — every kernel's step difference is an
+//!   exact integer, so a force is a sum of weight × integer terms. The
+//!   engine rounds the weights once onto a dyadic grid on which those
+//!   sums are exact (see its `snap_weights`), which makes every force
+//!   independent of the order of its additions.
+//! * **One kernel for `u_a` and eq. 25** — [`Potential::EnergyModel`] is
+//!   `(EN_r + EN_w)·u_a + EN_r`, a positive affine map of `u_a`, so its
+//!   step differences are exactly `EN_r + EN_w` times those of `u_a`.
+//!   It runs the [`KL1`] kernel, and the slope enters only where a
+//!   composite objective adds the energy term to other terms.
+//!   [`Potential::value`] and the reported FD energy keep eq. 25.
 //! * **Closed-form step differences** — [`PotKernel::step_diff`] defaults
 //!   to the two-call expression `u(d) − u(d − o)`. For the paper's `u_c`
 //!   (eq. 21) it is `2⟨d, o⟩ − 1`, the same exact integer, so
@@ -24,11 +35,9 @@
 //!   with `±2w` in the two slots along the move axis and skip the two
 //!   across it. The other kernels keep the generic per-edge patch.
 //! * **Kernel monomorphization** — the [`with_kernel!`] macro dispatches
-//!   the `Potential` enum **once per loop** (per energy block, per
-//!   cluster rebuild, per swap) to a zero-sized kernel type whose
-//!   methods inline with no per-edge match. [`Potential::value`]
-//!   evaluates the same kernels, so the hot loops and the scalar API
-//!   agree bit for bit (and the provenance digests are unchanged).
+//!   the `Potential` enum **once per loop** (per cluster rebuild, per
+//!   swap) to a zero-sized kernel type whose methods inline with no
+//!   per-edge match.
 
 use snnmap_hw::CostModel;
 
@@ -85,20 +94,28 @@ impl Potential {
     /// Potential at integer displacement `(dx, dy)`.
     ///
     /// Symmetric in sign (`u(p) = u(−p)`) for every variant, which the
-    /// tension bookkeeping of the FD engine relies on. Evaluates the same
-    /// float kernels as the FD hot loops; the conversion to `f64` is exact
-    /// for any mesh-sized displacement.
+    /// tension bookkeeping of the FD engine relies on. The conversion to
+    /// `f64` is exact for any mesh-sized displacement.
     #[inline]
     pub fn value(&self, dx: i32, dy: i32) -> f64 {
-        with_kernel!(*self, k => k.u(f64::from(dx), f64::from(dy)))
+        self.at(f64::from(dx), f64::from(dy))
     }
 
-    /// `u(unit) − u(0)`: the constant the tension formula needs to
-    /// correct the double-counted mutual edge of a connected adjacent
-    /// pair (their distance is preserved by a swap).
-    #[inline]
-    pub(crate) fn unit_step(&self) -> f64 {
-        self.value(1, 0) - self.value(0, 0)
+    /// [`Potential::value`] at a float displacement — the form the FD
+    /// engine's energy reduction evaluates per edge. The three shape
+    /// variants evaluate their kernels; eq. 25 is spelled out here, since
+    /// its force kernel is `u_a`'s.
+    #[inline(always)]
+    pub(crate) fn at(self, dx: f64, dy: f64) -> f64 {
+        match self {
+            Potential::L1 => KL1.u(dx, dy),
+            Potential::L1Squared => KL1Sq.u(dx, dy),
+            Potential::L2Squared => KL2Sq.u(dx, dy),
+            Potential::EnergyModel { en_r, en_w } => {
+                let l1 = KL1.u(dx, dy);
+                (l1 + 1.0) * en_r + l1 * en_w
+            }
+        }
     }
 }
 
@@ -134,7 +151,8 @@ pub(crate) trait PotKernel: Copy + Send + Sync {
     }
 }
 
-/// [`Potential::L1`] kernel.
+/// [`Potential::L1`] kernel, also the force kernel of
+/// [`Potential::EnergyModel`].
 #[derive(Clone, Copy)]
 pub(crate) struct KL1;
 /// [`Potential::L1Squared`] kernel.
@@ -143,12 +161,6 @@ pub(crate) struct KL1Sq;
 /// [`Potential::L2Squared`] kernel.
 #[derive(Clone, Copy)]
 pub(crate) struct KL2Sq;
-/// [`Potential::EnergyModel`] kernel (carries the cost coefficients).
-#[derive(Clone, Copy)]
-pub(crate) struct KEnergy {
-    pub en_r: f64,
-    pub en_w: f64,
-}
 
 impl PotKernel for KL1 {
     #[inline(always)]
@@ -181,25 +193,19 @@ impl PotKernel for KL2Sq {
     }
 }
 
-impl PotKernel for KEnergy {
-    #[inline(always)]
-    fn u(self, dx: f64, dy: f64) -> f64 {
-        let l1 = dx.abs() + dy.abs();
-        (l1 + 1.0) * self.en_r + l1 * self.en_w
-    }
-}
-
-/// Dispatches a [`Potential`] to its concrete [`PotKernel`] **once**,
-/// binding it as `$k` inside `$body` — hoisting the enum match out of
-/// whatever loop `$body` runs:
+/// Dispatches a [`Potential`] to its concrete force [`PotKernel`]
+/// **once**, binding it as `$k` inside `$body` — hoisting the enum match
+/// out of whatever loop `$body` runs ([`Potential::EnergyModel`] runs
+/// [`KL1`]):
 ///
 /// ```ignore
-/// with_kernel!(self.potential, k => self.energy_block_k(k, range))
+/// with_kernel!(self.potential, k => self.swap_with(k, key, epoch, pos_stamp))
 /// ```
 macro_rules! with_kernel {
     ($pot:expr, $k:ident => $body:expr) => {
         match $pot {
-            $crate::fd::potential::Potential::L1 => {
+            $crate::fd::potential::Potential::L1
+            | $crate::fd::potential::Potential::EnergyModel { .. } => {
                 let $k = $crate::fd::potential::KL1;
                 $body
             }
@@ -209,10 +215,6 @@ macro_rules! with_kernel {
             }
             $crate::fd::potential::Potential::L2Squared => {
                 let $k = $crate::fd::potential::KL2Sq;
-                $body
-            }
-            $crate::fd::potential::Potential::EnergyModel { en_r, en_w } => {
-                let $k = $crate::fd::potential::KEnergy { en_r, en_w };
                 $body
             }
         }
@@ -250,12 +252,18 @@ mod tests {
     }
 
     #[test]
-    fn unit_step_values() {
-        assert_eq!(Potential::L1.unit_step(), 1.0);
-        assert_eq!(Potential::L1Squared.unit_step(), 1.0);
-        assert_eq!(Potential::L2Squared.unit_step(), 1.0);
-        let e = Potential::EnergyModel { en_r: 1.0, en_w: 0.1 };
-        assert!((e.unit_step() - 1.1).abs() < 1e-12);
+    fn energy_model_steps_are_its_slope_times_the_l1_steps() {
+        // Dyadic coefficients keep eq. 25 exact in f64, so the identity
+        // the shared KL1 kernel rests on holds bit for bit here.
+        let (en_r, en_w) = (1.5, 0.25);
+        let e = Potential::EnergyModel { en_r, en_w };
+        for (dx, dy) in displacements() {
+            for (ox, oy) in STEPS {
+                let step = e.at(dx, dy) - e.at(dx - ox, dy - oy);
+                let l1 = KL1.step_diff(dx, dy, ox, oy);
+                assert_eq!(step.to_bits(), ((en_r + en_w) * l1).to_bits(), "({dx},{dy})");
+            }
+        }
     }
 
     #[test]

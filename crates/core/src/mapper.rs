@@ -339,10 +339,10 @@ impl Mapper {
     /// Continues an interrupted FD run from a checkpoint.
     ///
     /// The placement is rebuilt from the checkpoint's coordinate table,
-    /// and the engine's force record, sweep/swap counters and initial
-    /// energy are restored verbatim — so killing a run at any sweep
-    /// boundary and resuming it yields a placement bit-identical to the
-    /// uninterrupted run. `opts` carries the *new* invocation's budget
+    /// the sweep/swap counters and initial energy are restored verbatim,
+    /// and the engine rebuilds its exact forces from the coordinates —
+    /// so killing a run at any sweep boundary and resuming it yields a
+    /// placement bit-identical to the uninterrupted run. `opts` carries the *new* invocation's budget
     /// and checkpoint cadence (a wall-clock deadline restarts from now; a
     /// sweep cap counts total sweeps including the checkpoint's); any
     /// `opts.resume` already set is overwritten from the checkpoint.

@@ -256,6 +256,12 @@ impl IncrementalCongestion {
 #[derive(Debug, Clone)]
 pub(crate) struct ObjectiveState {
     pub(crate) energy_w: f64,
+    /// `energy_w` times the slope of the potential's step differences
+    /// over the force kernel's: `EN_r + EN_w` for the energy-model
+    /// potential, which runs the `u_a` kernel, and exactly 1 otherwise
+    /// (so `energy_tension_w == energy_w` bit for bit). Weighs the pure
+    /// energy tension in the composite.
+    pub(crate) energy_tension_w: f64,
     pub(crate) cong: IncrementalCongestion,
     terms: EdgeTerms,
     ids: EdgeIds,
@@ -367,9 +373,12 @@ impl EdgeIds {
 impl ObjectiveState {
     /// Builds the state for `objective` over the placement `coords`
     /// (cluster-indexed positions on a `rows × cols` mesh). `chip` is
-    /// the board's chip tile size when mapping multi-chip hardware.
+    /// the board's chip tile size when mapping multi-chip hardware;
+    /// `energy_slope` is the potential's slope over its force kernel
+    /// (see [`ObjectiveState::energy_tension_w`]).
     pub(crate) fn new(
         objective: Objective,
+        energy_slope: f64,
         pcn: &Pcn,
         coords: &[(u16, u16)],
         rows: u16,
@@ -388,6 +397,7 @@ impl ObjectiveState {
         };
         let mut st = Self {
             energy_w,
+            energy_tension_w: energy_w * energy_slope,
             cong: IncrementalCongestion::build(pcn, coords, rows, cols),
             terms,
             ids: EdgeIds::new(pcn),
@@ -650,7 +660,7 @@ mod tests {
             prop_assert_eq!(inc.map(), &want[..]);
 
             let objective = Objective::Congestion { lambda_c: 1.0 };
-            let mut st = ObjectiveState::new(objective, &pcn, &coords, 10, 10, None);
+            let mut st = ObjectiveState::new(objective, 1.0, &pcn, &coords, 10, 10, None);
             let (pos, mesh_x, mesh_y) = tables(&coords);
             st.apply_reweight(&heat, &pcn, &pos, &mesh_x, &mesh_y);
             let wf = st.terms.weight.clone().expect("nonzero heat installs a field");
@@ -725,7 +735,7 @@ mod tests {
             let xy = |k: usize| (mesh_x[k], mesh_y[k]);
             let coords: Vec<(u16, u16)> = pos.iter().map(|&k| xy(k as usize)).collect();
             let objective = Objective::Composite { lambda_c, lambda_t };
-            let mut st = ObjectiveState::new(objective, &pcn, &coords, rows, cols, chip);
+            let mut st = ObjectiveState::new(objective, 1.0, &pcn, &coords, rows, cols, chip);
             for (step, &(p, q, kind)) in steps.iter().enumerate() {
                 if kind == 0 {
                     // Every eighth step reweights; some heat fields are all zero.
@@ -858,6 +868,7 @@ mod tests {
         let pos: Vec<u32> = (0..6u32).collect(); // cluster c at position c
         let st = ObjectiveState::new(
             Objective::Composite { lambda_c: 0.7, lambda_t: 0.3 },
+            1.0,
             &pcn,
             &coords,
             3,
@@ -872,6 +883,7 @@ mod tests {
         coords.swap(1, 4);
         let st2 = ObjectiveState::new(
             Objective::Composite { lambda_c: 0.7, lambda_t: 0.3 },
+            1.0,
             &pcn,
             &coords,
             3,
@@ -894,6 +906,7 @@ mod tests {
         let coords = [(0u16, 0u16), (0, 3)];
         let flat = ObjectiveState::new(
             Objective::Congestion { lambda_c: 1.0 },
+            1.0,
             &pcn,
             &coords,
             4,
@@ -902,6 +915,7 @@ mod tests {
         );
         let board = ObjectiveState::new(
             Objective::Congestion { lambda_c: 1.0 },
+            1.0,
             &pcn,
             &coords,
             4,
@@ -925,6 +939,7 @@ mod tests {
         let coords = [(0u16, 0u16), (1, 1)];
         let mut st = ObjectiveState::new(
             Objective::Congestion { lambda_c: 1.0 },
+            1.0,
             &pcn,
             &coords,
             2,

@@ -1,25 +1,29 @@
 //! FD checkpoint JSON serialization.
 //!
 //! A checkpoint captures a Force-Directed run at a sweep boundary
-//! ([`FdCheckpoint`]): every cluster's coordinate, the engine's
-//! incrementally patched force table, and the sweep/swap/energy
-//! counters. The force table is restored verbatim on resume — its values
-//! differ in the low bits from a from-scratch rebuild (floating-point
-//! addition is not associative), and carrying them is what makes a
-//! killed-and-resumed run bit-identical to an uninterrupted one.
+//! ([`FdCheckpoint`]): every cluster's coordinate and the sweep/swap/
+//! energy counters. It carries no force table: the engine's forces are
+//! exact sums on its weight grid, so a resume rebuilds them from the
+//! coordinates bit for bit, and a killed-and-resumed run is still
+//! byte-identical to an uninterrupted one.
 //!
-//! All `f64` values are stored as IEEE-754 bit patterns
-//! ([`f64::to_bits`]) so the JSON round trip is exact, and the document
-//! carries two caller-supplied digests (run configuration and PCN) so
-//! `snnmap resume` can refuse a checkpoint taken under different inputs.
+//! The format is `snnmap-checkpoint-v2`. A `snnmap-checkpoint-v1`
+//! document (which carried the force table as `forces_bits`) is refused
+//! with [`IoError::UnsupportedVersion`], so a caller can tell an
+//! outdated checkpoint from a corrupt one and start the run over.
 //!
-//! The document additionally carries `self_sha256`, a digest of its own
-//! canonical rendering (computed with the digest field blanked). The
+//! Energies are stored as IEEE-754 bit patterns ([`f64::to_bits`]) so
+//! the JSON round trip is exact, and the document carries two
+//! caller-supplied digests (run configuration and PCN) so `snnmap
+//! resume` can refuse a checkpoint taken under different inputs.
+//!
+//! The document also carries a required `self_sha256`, a digest of its
+//! own canonical rendering (computed with the digest field blanked). The
 //! provenance digests only cover the *inputs*; a bit flip inside
-//! `coords` or `forces_bits` can still parse cleanly into a
-//! valid-looking checkpoint that resumes to a silently different
-//! placement. [`parse_checkpoint`] re-renders what it parsed and
-//! compares, so any such flip is rejected with a typed error.
+//! `coords` can still parse cleanly into a valid-looking checkpoint that
+//! resumes to a silently different placement. [`parse_checkpoint`]
+//! re-renders what it parsed and compares, so any such flip is rejected
+//! with a typed error.
 
 use std::path::Path;
 
@@ -55,16 +59,23 @@ struct CheckpointDoc {
     energy_bits: u64,
     /// Element `i` is cluster `i`'s `[x, y]`.
     coords: Vec<(u16, u16)>,
-    /// Element `i` is cluster `i`'s `[UP, DOWN, LEFT, RIGHT]` force
-    /// record as `f64` bit patterns.
-    forces_bits: Vec<[u64; 4]>,
     /// SHA-256 of this document's canonical rendering with this field
-    /// set to `""`. Absent in pre-chaos checkpoints, which are accepted
-    /// without self-verification.
-    self_sha256: Option<String>,
+    /// set to `""`.
+    self_sha256: String,
 }
 
-const FORMAT: &str = "snnmap-checkpoint-v1";
+/// The format tag alone, read before the document itself so that a
+/// retired version is named even where its fields no longer parse.
+#[derive(Deserialize)]
+struct FormatTag {
+    format: String,
+}
+
+const FORMAT: &str = "snnmap-checkpoint-v2";
+
+/// The earlier checkpoint format, which carried the force table; this
+/// build recognizes it but no longer reads it.
+const RETIRED: &str = "snnmap-checkpoint-v1";
 
 fn render_doc(checkpoint: &FdCheckpoint, meta: &CheckpointMeta, self_sha256: &str) -> String {
     let doc = CheckpointDoc {
@@ -78,12 +89,7 @@ fn render_doc(checkpoint: &FdCheckpoint, meta: &CheckpointMeta, self_sha256: &st
         initial_energy_bits: checkpoint.initial_energy.to_bits(),
         energy_bits: checkpoint.energy.to_bits(),
         coords: checkpoint.coords.iter().map(|c| (c.x, c.y)).collect(),
-        forces_bits: checkpoint
-            .forces
-            .iter()
-            .map(|f| [f[0].to_bits(), f[1].to_bits(), f[2].to_bits(), f[3].to_bits()])
-            .collect(),
-        self_sha256: Some(self_sha256.to_string()),
+        self_sha256: self_sha256.to_string(),
     };
     serde_json::to_string_pretty(&doc).expect("checkpoint doc always serializes")
 }
@@ -100,28 +106,24 @@ pub fn render_checkpoint(checkpoint: &FdCheckpoint, meta: &CheckpointMeta) -> St
 ///
 /// # Errors
 ///
-/// [`IoError::Json`] for malformed JSON; [`IoError::Invalid`] for a
-/// wrong format tag, a dimension bomb (see [`crate::MAX_MESH_CORES`]), a
-/// coordinate/force table length mismatch, more clusters than cores,
-/// out-of-mesh coordinates, two clusters on the same core, or a
-/// document whose `self_sha256` does not match its own canonical
-/// re-rendering (a flipped bit anywhere in the payload).
+/// [`IoError::Json`] for malformed JSON (including a missing
+/// `self_sha256`); [`IoError::UnsupportedVersion`] for a
+/// `snnmap-checkpoint-v1` document; [`IoError::Invalid`] for an unknown
+/// format tag, a dimension bomb (see [`crate::MAX_MESH_CORES`]), more
+/// clusters than cores, out-of-mesh coordinates, two clusters on the
+/// same core, or a document whose `self_sha256` does not match its own
+/// canonical re-rendering (a flipped bit anywhere in the payload).
 pub fn parse_checkpoint(text: &str) -> Result<(FdCheckpoint, CheckpointMeta), IoError> {
     crate::dupkey::reject_duplicate_keys(text)?;
+    let FormatTag { format } = serde_json::from_str(text)?;
+    if format == RETIRED {
+        return Err(IoError::UnsupportedVersion { found: format, supported: FORMAT.to_owned() });
+    }
+    if format != FORMAT {
+        return Err(IoError::Invalid { message: format!("unknown format tag `{format}`") });
+    }
     let doc: CheckpointDoc = serde_json::from_str(text)?;
-    if doc.format != FORMAT {
-        return Err(IoError::Invalid { message: format!("unknown format tag `{}`", doc.format) });
-    }
     let mesh = checked_mesh(doc.rows, doc.cols)?;
-    if doc.coords.len() != doc.forces_bits.len() {
-        return Err(IoError::Invalid {
-            message: format!(
-                "{} coordinates but {} force records",
-                doc.coords.len(),
-                doc.forces_bits.len()
-            ),
-        });
-    }
     if doc.coords.len() > mesh.len() {
         return Err(IoError::Invalid {
             message: format!("{} clusters exceed {} cores", doc.coords.len(), mesh.len()),
@@ -148,35 +150,22 @@ pub fn parse_checkpoint(text: &str) -> Result<(FdCheckpoint, CheckpointMeta), Io
     let checkpoint = FdCheckpoint {
         mesh,
         coords,
-        forces: doc
-            .forces_bits
-            .iter()
-            .map(|f| {
-                [
-                    f64::from_bits(f[0]),
-                    f64::from_bits(f[1]),
-                    f64::from_bits(f[2]),
-                    f64::from_bits(f[3]),
-                ]
-            })
-            .collect(),
         sweeps: doc.sweeps,
         swaps: doc.swaps,
         initial_energy: f64::from_bits(doc.initial_energy_bits),
         energy: f64::from_bits(doc.energy_bits),
     };
     let meta = CheckpointMeta { config_digest: doc.config_digest, pcn_digest: doc.pcn_digest };
-    if let Some(claimed) = doc.self_sha256 {
-        let preimage = render_doc(&checkpoint, &meta, "");
-        let actual = snnmap_trace::sha256_hex(preimage.as_bytes());
-        if claimed != actual {
-            return Err(IoError::Invalid {
-                message: format!(
-                    "integrity digest mismatch: document claims {claimed}, \
-                     canonical re-rendering hashes to {actual}"
-                ),
-            });
-        }
+    let preimage = render_doc(&checkpoint, &meta, "");
+    let actual = snnmap_trace::sha256_hex(preimage.as_bytes());
+    if doc.self_sha256 != actual {
+        return Err(IoError::Invalid {
+            message: format!(
+                "integrity digest mismatch: document claims {}, \
+                 canonical re-rendering hashes to {actual}",
+                doc.self_sha256
+            ),
+        });
     }
     Ok((checkpoint, meta))
 }
@@ -228,15 +217,10 @@ mod tests {
         let cp = FdCheckpoint {
             mesh: Mesh::new(2, 3).unwrap(),
             coords: vec![Coord::new(0, 0), Coord::new(1, 2), Coord::new(0, 2)],
-            // Deliberately awkward values: results of non-associative
-            // sums, negative zero, subnormals.
-            forces: vec![
-                [0.1 + 0.2, -0.0, f64::MIN_POSITIVE, 1.5e308],
-                [0.0, -3.25, 2.0f64.powi(-1060), 7.0],
-                [1.0 / 3.0, 0.3 - 0.1, -55.5, 0.0],
-            ],
             sweeps: 17,
             swaps: 112,
+            // Deliberately awkward values: results of non-associative
+            // sums, which only a bit-pattern encoding keeps exact.
             initial_energy: 1234.5678,
             energy: 0.1 + 0.2 + 0.3,
         };
@@ -259,11 +243,6 @@ mod tests {
         assert_eq!(back.swaps, cp.swaps);
         assert_eq!(back.initial_energy.to_bits(), cp.initial_energy.to_bits());
         assert_eq!(back.energy.to_bits(), cp.energy.to_bits());
-        for (a, b) in back.forces.iter().zip(cp.forces.iter()) {
-            for d in 0..4 {
-                assert_eq!(a[d].to_bits(), b[d].to_bits());
-            }
-        }
         // Deterministic rendering.
         assert_eq!(text, render_checkpoint(&back, &back_meta));
     }
@@ -291,11 +270,6 @@ mod tests {
         let (mut cp2, meta2) = sample();
         cp2.coords[1] = cp2.coords[0];
         let bad = render_checkpoint(&cp2, &meta2);
-        assert!(matches!(parse_checkpoint(&bad), Err(IoError::Invalid { .. })));
-        // Force-table length mismatch.
-        let (mut cp3, meta3) = sample();
-        cp3.forces.pop();
-        let bad = render_checkpoint(&cp3, &meta3);
         assert!(matches!(parse_checkpoint(&bad), Err(IoError::Invalid { .. })));
         // Not JSON at all.
         assert!(matches!(parse_checkpoint("not json"), Err(IoError::Json(_))));

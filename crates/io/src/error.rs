@@ -37,6 +37,15 @@ pub enum IoError {
         /// Description of the inconsistency.
         message: String,
     },
+    /// A document declares an earlier version of its format that this
+    /// build recognizes but no longer reads (e.g. a
+    /// `snnmap-checkpoint-v1` checkpoint, which carried a force table).
+    UnsupportedVersion {
+        /// The format tag the document declares.
+        found: String,
+        /// The version this build reads instead.
+        supported: String,
+    },
     /// A JSON object repeated a key. The underlying parser resolves
     /// duplicates last-write-wins, which would let a crafted document
     /// show one value to a validator and another to a consumer, so the
@@ -58,6 +67,9 @@ impl fmt::Display for IoError {
                 write!(f, "truncated document: {section} section ends early")
             }
             IoError::Corrupt { message } => write!(f, "corrupt document: {message}"),
+            IoError::UnsupportedVersion { found, supported } => {
+                write!(f, "unsupported document version `{found}` (this build reads `{supported}`)")
+            }
             IoError::DuplicateKey { key } => {
                 write!(f, "invalid document: duplicate JSON key `{key}`")
             }

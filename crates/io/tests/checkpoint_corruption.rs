@@ -14,16 +14,9 @@ use snnmap_io::{parse_checkpoint, render_checkpoint, CheckpointMeta, IoError};
 fn sample_checkpoint() -> (FdCheckpoint, CheckpointMeta) {
     let mesh = Mesh::new(3, 4).unwrap();
     let coords: Vec<Coord> = (0..7).map(|i| mesh.coord_of_index(i)).collect();
-    let forces = (0..7)
-        .map(|i| {
-            let b = i as f64;
-            [0.1 + b, -b / 3.0, b * 1e-8, 1.0 / (b + 1.0)]
-        })
-        .collect();
     let cp = FdCheckpoint {
         mesh,
         coords,
-        forces,
         sweeps: 5,
         swaps: 41,
         initial_energy: 987.125,
@@ -44,6 +37,7 @@ fn assert_never_silently_wrong(mutated: &str, pristine: &str, what: &str) {
         Err(
             IoError::Json(_)
             | IoError::Invalid { .. }
+            | IoError::UnsupportedVersion { .. }
             | IoError::DuplicateKey { .. }
             | IoError::Parse { .. },
         ) => {}
@@ -115,29 +109,48 @@ fn clean_value_swap_is_caught_by_integrity_digest() {
     }
 }
 
-/// Pre-digest documents (no `self_sha256` field) still parse, so a
-/// daemon upgraded mid-fleet can resume checkpoints its predecessor
-/// wrote.
+/// A `snnmap-checkpoint-v1` document, which carried the force table as
+/// `forces_bits`, is refused with a typed error naming its version:
+/// whether or not it has the (then optional) `self_sha256`, and however
+/// its payload looks.
 #[test]
-fn legacy_checkpoint_without_digest_still_parses() {
+fn v1_checkpoint_is_refused_naming_its_version() {
     let (cp, meta) = sample_checkpoint();
-    let text = render_checkpoint(&cp, &meta);
-    let legacy: String = text
-        .lines()
-        .filter(|l| !l.contains("self_sha256"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    // Drop the now-trailing comma on the previous line.
-    let legacy = {
-        let idx = legacy.rfind("],").expect("forces_bits array close");
-        let mut s = legacy;
-        s.replace_range(idx..idx + 2, "]");
-        s
-    };
-    let (back, back_meta) = parse_checkpoint(&legacy).expect("legacy doc parses");
-    assert_eq!(back_meta, meta);
-    assert_eq!(back.coords, cp.coords);
-    assert_eq!(back.swaps, cp.swaps);
+    let v2 = render_checkpoint(&cp, &meta);
+    let v1 = v2.replacen("snnmap-checkpoint-v2", "snnmap-checkpoint-v1", 1).replacen(
+        "\"coords\"",
+        "\"forces_bits\": [[0, 0, 0, 0]],\n  \"coords\"",
+        1,
+    );
+    for doc in [&v1, &strip_digest(&v1)] {
+        match parse_checkpoint(doc) {
+            Err(e @ IoError::UnsupportedVersion { .. }) => {
+                let IoError::UnsupportedVersion { found, supported } = &e else { unreachable!() };
+                assert_eq!(found, "snnmap-checkpoint-v1");
+                assert_eq!(supported, "snnmap-checkpoint-v2");
+                assert!(e.to_string().contains("snnmap-checkpoint-v1"), "{e}");
+            }
+            other => panic!("a v1 document must be refused by version, got {other:?}"),
+        }
+    }
+}
+
+/// `self_sha256` is required: a v2 document without it does not parse.
+#[test]
+fn v2_checkpoint_without_digest_is_rejected() {
+    let (cp, meta) = sample_checkpoint();
+    let stripped = strip_digest(&render_checkpoint(&cp, &meta));
+    assert!(matches!(parse_checkpoint(&stripped), Err(IoError::Json(_))));
+}
+
+/// `text` without its `self_sha256` line, still well-formed JSON.
+fn strip_digest(text: &str) -> String {
+    let mut s: String =
+        text.lines().filter(|l| !l.contains("self_sha256")).collect::<Vec<_>>().join("\n");
+    // Drop the now-trailing comma after the coords array.
+    let idx = s.rfind("],").expect("coords array close");
+    s.replace_range(idx..idx + 2, "]");
+    s
 }
 
 proptest! {

@@ -184,7 +184,9 @@ impl Server {
     /// state label, a `done` record without its placement, a garbled
     /// checkpoint, or a stale stub missing its records entirely — are
     /// moved to `spool/quarantine/<id>/` with a `REASON` file instead of
-    /// being silently skipped or allowed to wedge startup.
+    /// being silently skipped or allowed to wedge startup. A checkpoint
+    /// in a retired format (`snnmap-checkpoint-v1`) is not corruption:
+    /// its job is requeued and runs from scratch.
     ///
     /// # Errors
     ///
@@ -246,12 +248,15 @@ impl Server {
             }
             // A torn or bit-flipped checkpoint cannot happen through the
             // atomic write path, so it is external corruption; the job
-            // dir is evidence. (A transient read error is not.)
+            // dir is evidence. (A transient read error is not, and
+            // neither is a checkpoint in a retired format: the job is
+            // requeued and its worker, unable to resume from it, starts
+            // the run over and overwrites it.)
             if !state.is_terminal() {
                 let cp_path = spool.checkpoint_path(spooled.id);
                 if cp_path.is_file() {
                     match read_checkpoint(&cp_path) {
-                        Ok(_) | Err(IoError::Io(_)) => {}
+                        Ok(_) | Err(IoError::Io(_) | IoError::UnsupportedVersion { .. }) => {}
                         Err(e) => {
                             quarantine(&spool, spooled.id, &format!("corrupt checkpoint: {e}"));
                             continue;

@@ -5,7 +5,9 @@
 //! The crash is simulated at the spool level — the exact on-disk state a
 //! `kill -9` leaves behind (a `queued` job, and a `running` job whose
 //! checkpoint the FD engine had flushed) is constructed directly, then a
-//! fresh daemon is pointed at it. The end-to-end `kill -9` of a live
+//! fresh daemon is pointed at it. A running job whose checkpoint is in
+//! the retired `snnmap-checkpoint-v1` format is requeued and run from
+//! scratch rather than quarantined. The end-to-end `kill -9` of a live
 //! daemon process runs in CI (`serve` job), where a process can actually
 //! be killed; the recovery logic exercised is the same.
 
@@ -120,6 +122,17 @@ fn restart_finishes_spooled_jobs_byte_identically() {
     spool_job(&spool, 3, &body, "done");
     std::fs::write(spool.join("job-3").join("placement.json"), &reference).unwrap();
 
+    // Job 4 — killed while running under an older build, whose
+    // checkpoint carried the force table in the v1 format. This build
+    // cannot resume it, so the job starts over — and still reaches the
+    // uninterrupted run's placement.
+    spool_job(&spool, 4, &body, "running");
+    let v1 = std::fs::read_to_string(&cp_path)
+        .unwrap()
+        .replacen("snnmap-checkpoint-v2", "snnmap-checkpoint-v1", 1)
+        .replacen("\"coords\"", "\"forces_bits\": [],\n  \"coords\"", 1);
+    std::fs::write(spool.join("job-4").join("checkpoint.json"), v1).unwrap();
+
     // "Restart" the daemon over the crashed spool.
     let server = Server::bind(&ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -134,7 +147,7 @@ fn restart_finishes_spooled_jobs_byte_identically() {
     let flag = Arc::clone(&shutdown);
     let daemon = std::thread::spawn(move || server.run(&flag));
 
-    for id in [1u64, 2] {
+    for id in [1u64, 2, 4] {
         let status_body = wait_done(addr, id);
         let (code, placement) = request(addr, "GET", &format!("/jobs/{id}/placement"), "");
         assert_eq!(code, 200);
@@ -149,6 +162,8 @@ fn restart_finishes_spooled_jobs_byte_identically() {
     }
     // The resumed job really did resume: its consumed checkpoint is gone.
     assert!(!cp_path.exists(), "a finished job's checkpoint is cleaned up");
+    // The v1 checkpoint was outdated, not corrupt.
+    assert!(!spool.join("quarantine").exists(), "a v1 checkpoint must not be quarantined");
 
     // The pre-crash done job is served from the spool as-is.
     let (code, body) = request(addr, "GET", "/jobs/3", "");
@@ -161,7 +176,7 @@ fn restart_finishes_spooled_jobs_byte_identically() {
     // New submissions never collide with recovered ids.
     let (code, body) = request(addr, "POST", "/jobs", &body_for_new_job());
     assert_eq!(code, 201, "{body}");
-    assert!(body.contains("\"id\":4") || body.contains("\"id\": 4"), "{body}");
+    assert!(body.contains("\"id\":5") || body.contains("\"id\": 5"), "{body}");
 
     shutdown.store(true, SeqCst);
     daemon.join().unwrap();
