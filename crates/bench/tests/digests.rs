@@ -366,10 +366,10 @@ fn pareto_lenet_imagenet() {
         "LeNet-ImageNet",
         &[
             (0.0, 47, 801, "270b527e0f72ef27cb8dcf29d1ba231b8744cbc8964747f1c4f9c31ecb55a6fb"),
-            (0.5, 64, 930, "9cf851f8d551bf1fe140a89b529d915a03608ba853fb9b5a997b1ab3fb749cfd"),
-            (1.0, 64, 1068, "2a9e2db30dc1a11013b1fae2a9c77244868640f00023e5dbbf3a6d392544171b"),
-            (2.0, 64, 1028, "76175250dd8dc86203198cdaa96b4bdabe118189cda76bfd47f75781bede4e84"),
-            (4.0, 64, 1112, "d820a2bd0a1c0b8a3d33448f6fa5768018f219f127ae7a577ad2e6c2026f424f"),
+            (0.5, 64, 936, "feca71c947481f92812b3d6b32cbb3cfdab96f55a2ecfd7663a456c854c48366"),
+            (1.0, 64, 1057, "3a3dc6153c245a947a34a7b5e7d401f91032773aec5a6dcde7ab78bd70373b09"),
+            (2.0, 64, 997, "40b3377decfaa0aa59a5c70a7b831cb302e49c5ae8645f03d75ea4c41ae1815f"),
+            (4.0, 64, 1151, "1eee1b8b27d805dbe12ca88f5012ac367423b1415e5f5798f422103e06fe41aa"),
         ],
     );
 }
@@ -381,10 +381,10 @@ fn pareto_alexnet() {
         "AlexNet",
         &[
             (0.0, 37, 714, "8687828813bc0237d708357bbcf6e1436be1f9084f7a6a98c82bbe19ba9d6e47"),
-            (0.5, 64, 780, "1038d48211c6efdfe475c36a50f216a941efc78b49b96e689a6e630143a8cc1d"),
-            (1.0, 64, 849, "efc245a19dbf43711ddd897bc134c1e107e00fcc6b7d5fcd5fdb67a812ab552b"),
-            (2.0, 64, 915, "fc6781ae825dbffe5d880f7698d372cbf0546ac3f9f5f7f26f4c16324e167f04"),
-            (4.0, 64, 986, "9c379edde9fae79ef51606937cf47611ac0016060d91b6cfb271849945978532"),
+            (0.5, 43, 765, "123b82ac91ba7d66c3371bad74601d5226904db1a2a76e1e0cbeba95f2c7c1e7"),
+            (1.0, 64, 881, "c001dfd18cbf8e1295c230e085a4e14eb775cb3b68068e58ff1caa614cc01e0a"),
+            (2.0, 63, 864, "9c1f2214b1f16a40ded4e6e78abc8a9690721cda7f67636e05e0806f94d7f1c3"),
+            (4.0, 64, 981, "1473b0834a18d8b92ca50119439a1040c567bfddf9fdbb97a74c6276a4407c00"),
         ],
     );
 }

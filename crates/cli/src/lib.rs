@@ -255,12 +255,12 @@ mod tests {
         .unwrap();
         let out = run(&sv(&["eval", pcn_s, placement_s])).unwrap();
         assert!(
-            out.contains("NoC replay did not drain: 7135 of 10156 injected packets delivered"),
+            out.contains("NoC replay did not drain: 9110 of 10548 injected packets delivered"),
             "{out}"
         );
         let page = run(&sv(&["eval", pcn_s, placement_s, "--format", "prometheus"])).unwrap();
         for gauge in
-            ["snnmap_noc_drained 0\n", "snnmap_noc_injected 10156\n", "snnmap_noc_delivered 7135\n"]
+            ["snnmap_noc_drained 0\n", "snnmap_noc_injected 10548\n", "snnmap_noc_delivered 9110\n"]
         {
             assert!(page.contains(gauge), "missing {gauge} in:\n{page}");
         }

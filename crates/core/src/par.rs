@@ -25,7 +25,7 @@
 //! Threads are spawned per call (scoped, borrowing the caller's data) and
 //! joined before returning; small inputs fall back to the serial path so
 //! the spawn cost is only paid where it can be amortized. The serial
-//! cutoff is a fixed floor ([`MIN_ITEMS_PER_THREAD`] items per extra
+//! cutoff is a fixed floor (`MIN_ITEMS_PER_THREAD`, 2048 items per extra
 //! worker) for [`par_init`] and [`par_block_sum`], or a *measured* one
 //! for the `*_tuned` helpers: a [`Tuner`] turns observed items/µs
 //! throughput into the smallest batch that still amortizes a spawn, so
@@ -387,16 +387,15 @@ fn effective_threads_with(threads: usize, items: usize, min_items: usize) -> usi
 
 /// Measured-throughput granularity feedback for the `*_tuned` helpers.
 ///
-/// The fixed [`MIN_ITEMS_PER_THREAD`] floor assumes "a few thousand
+/// The fixed `MIN_ITEMS_PER_THREAD` floor (2048) assumes "a few thousand
 /// cheap items" amortize a spawn — right for copy-like scans, badly
 /// wrong in both directions for the FD engine, whose tension re-scores
 /// cost ~100 ns/item (fan out far earlier) while its queue collects cost
 /// ~5 ns/item (fan out far later). A `Tuner` replaces the assumption
 /// with measurement: each observed invocation updates an exponentially
 /// weighted per-worker throughput estimate (items/µs), and the work
-/// floor becomes "enough items to amortize [`SPAWN_COST_US`]
-/// [`SPAWN_AMORTIZE`] times at that rate", clamped to
-/// [`MIN_GRAIN`]`..=`[`MAX_GRAIN`].
+/// floor becomes "enough items to amortize a 30 µs spawn 4 times at
+/// that rate", clamped to `64..=65_536`.
 ///
 /// One tuner per call-site *family* (one per distinct per-item cost),
 /// owned by the run that uses it — state never leaks across runs, so the
@@ -427,13 +426,13 @@ pub struct Tuner {
 
 impl Tuner {
     /// A tuner with no samples: [`Tuner::min_items`] starts at the fixed
-    /// [`MIN_ITEMS_PER_THREAD`] default.
+    /// `MIN_ITEMS_PER_THREAD` default (2048).
     pub fn new() -> Self {
         Tuner::default()
     }
 
     /// Current work floor per extra worker: the batch that amortizes one
-    /// spawn [`SPAWN_AMORTIZE`]× at the measured throughput, or the
+    /// spawn 4× at the measured throughput, or the
     /// fixed default before any sample.
     pub fn min_items(&self) -> usize {
         if self.samples == 0 {

@@ -20,8 +20,9 @@
 //!   inter-chip links as the expensive resource (crossings minimized
 //!   before hops) and counts boundary crossings in
 //!   [`NocStats::interchip_traversals`],
-//! * [`PcnTraffic`] — Bernoulli per-flow injection derived from a PCN's
-//!   connection weights and a placement, at the [`noc_scale`] injection
+//! * [`PcnTraffic`] — per-flow spike injection derived from a PCN's
+//!   connection weights and a placement, a Bernoulli trial per flow per
+//!   cycle drawn as geometric gaps, at the [`noc_scale`] injection
 //!   scale over [`REPLAY_CYCLES`] cycles for the seeded replays the CLI
 //!   and the daemon run,
 //! * [`NocReweighter`] — sim-in-the-loop hook feeding simulated router

@@ -64,14 +64,20 @@ impl Default for NocConfig {
 /// Marks a `(router, destination)` table entry with no healthy path.
 const NH_UNREACHABLE: u8 = u8::MAX;
 
+/// A single-flit spike in flight: 16 bytes, so a queue slot is a
+/// quarter of a cache line.
 #[derive(Debug, Clone, Copy)]
 struct Packet {
-    src: Coord,
     dst: Coord,
+    /// Router-to-router moves taken so far, less the fault-free minimum
+    /// (`src.manhattan(dst)`): it starts at minus that distance, so on
+    /// delivery its positive part is the detour, and the packet need
+    /// not carry its source.
+    hops: i32,
     injected_at: u64,
-    /// Router-to-router moves taken so far (the path length on delivery).
-    hops: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Packet>() == 16);
 
 #[derive(Debug, Default)]
 struct Router {
@@ -304,7 +310,9 @@ impl NocSim {
             self.stats.rejected += 1;
             return false;
         }
-        q.push_back(Packet { src, dst, injected_at: self.cycle, hops: 0 });
+        // A coordinate is two u16s, so the distance fits an i32.
+        let hops = -(src.manhattan(dst) as i32);
+        q.push_back(Packet { dst, hops, injected_at: self.cycle });
         self.queued[r] += 1;
         self.stats.injected += 1;
         self.in_flight += 1;
@@ -396,8 +404,7 @@ impl NocSim {
                     self.stats.max_latency = self.stats.max_latency.max(latency);
                     // Path length beyond the fault-free minimum = hops
                     // forced by routing around faults.
-                    self.stats.detour_hops +=
-                        u64::from(pkt.hops.saturating_sub(pkt.src.manhattan(pkt.dst)));
+                    self.stats.detour_hops += pkt.hops.max(0) as u64;
                     self.in_flight -= 1;
                 } else {
                     // Routes never leave the mesh, so the neighbour exists.

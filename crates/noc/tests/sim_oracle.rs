@@ -242,11 +242,12 @@ proptest! {
     }
 }
 
-/// The deadlock of `PcnTraffic`'s own unit test: a 120-cluster PCN laid
-/// row by row on 12×12, replayed for 256 cycles at scale 0.05 under
-/// `RandomMinimal`, wedges with packets in flight. Both simulators see
-/// the same injections (the replay's Bernoulli draws, written out) and
-/// must give up at the same cycle with the same counts.
+/// A replay that deadlocks: a 120-cluster PCN laid row by row on
+/// 12×12, 256 cycles at scale 0.05 under `RandomMinimal`, wedges with
+/// packets in flight. The injections are a Bernoulli draw per flow per
+/// cycle, written out here (`PcnTraffic` draws the same distribution
+/// as geometric gaps, a different stream). Both simulators see the same
+/// injections and must give up at the same cycle with the same counts.
 #[test]
 fn reference_agrees_on_a_replay_that_deadlocks() {
     let pcn = snnmap_model::generators::random_pcn(120, 4.0, 5).unwrap();

@@ -141,6 +141,9 @@ fn board_runs_are_pinned() {
     );
 }
 
+/// `PcnTraffic` replays and `NocReweighter` heat. These rows were
+/// re-recorded when `PcnTraffic` moved from a Bernoulli draw per flow
+/// per cycle to geometric gaps: the same traffic model, another stream.
 #[test]
 fn pcn_replays_and_reweight_heat_are_pinned() {
     let pcn = random_pcn(120, 4.0, 5).unwrap();
@@ -158,9 +161,9 @@ fn pcn_replays_and_reweight_heat_are_pinned() {
     check(
         &runs,
         &[
-            "cycles=439 drained=true delivered=9431 injected=9431 rejected=21944 total_latency=734380 max_latency=394 detour_hops=0 interchip=0 traversals=1e091d88bbd9aec7",
-            "cycles=350 drained=false delivered=4346 injected=7260 rejected=24115 total_latency=168137 max_latency=246 detour_hops=0 interchip=0 traversals=3fe70662ff9758d2",
-            "aad0c4ac3febc9736a185907ba8d2a1d5c523810ec5aea015c37430bbdb635c1",
+            "cycles=463 drained=true delivered=9545 injected=9545 rejected=21729 total_latency=741456 max_latency=431 detour_hops=0 interchip=0 traversals=9d523109966d1841",
+            "cycles=351 drained=false delivered=4741 injected=7621 rejected=23653 total_latency=214461 max_latency=263 detour_hops=0 interchip=0 traversals=40423dcde78c8fc7",
+            "dcd54a20f2140625e53b9808d2b4dac2965afc7abd6ed5fb49eaf4c4dec2033a",
         ],
     );
 }

@@ -89,7 +89,7 @@ fn xy_and_random_minimal_deliver_identical_payload_counts() {
 }
 
 /// The placement of [`sim_in_the_loop_placement_is_pinned`].
-const SIM_IN_THE_LOOP: &str = "a547ba136270d992b456ff4abaeb361b4e1b00e84b8cc27aa3d89879cd196459";
+const SIM_IN_THE_LOOP: &str = "ae3b4645120cbdf270073419915b11d5de734b1dee5ff89805fab70cd0d574fc";
 
 /// Sim-in-the-loop refinement, pinned: the composite objective at
 /// λc = 4 with a `NocReweighter` replay every 2 sweeps, 12 sweeps of a
