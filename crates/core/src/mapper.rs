@@ -653,8 +653,9 @@ impl MapperBuilder {
     }
 
     /// Enables sim-in-the-loop reweighting: every `every` sweeps the
-    /// run's [`SweepReweighter`](crate::SweepReweighter) hook (or, hookless, the engine's own
-    /// congestion map) re-weights hot routers in the congestion term.
+    /// run's [`SweepReweighter`](crate::SweepReweighter) hook (or,
+    /// hookless, the engine's own congestion map) re-weights hot routers
+    /// in the congestion term.
     /// Requires a non-energy objective at `map` time and is incompatible
     /// with checkpoint/resume (default: disabled).
     ///

@@ -432,8 +432,8 @@ impl Tuner {
     }
 
     /// Current work floor per extra worker: the batch that amortizes one
-    /// spawn 4× at the measured throughput, or the
-    /// fixed default before any sample.
+    /// spawn 4× at the measured throughput, or the fixed default before
+    /// any sample.
     pub fn min_items(&self) -> usize {
         if self.samples == 0 {
             return MIN_ITEMS_PER_THREAD;

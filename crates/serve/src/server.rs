@@ -325,7 +325,8 @@ impl Server {
     }
 
     /// Serves until `shutdown` goes high (typically the
-    /// [`signal::install`](crate::signal::install) flag), then drains gracefully.
+    /// [`signal::install`](crate::signal::install) flag), then drains
+    /// gracefully.
     pub fn run(&self, shutdown: &AtomicBool) -> DrainReport {
         let workers: Vec<_> = (0..self.shared.workers)
             .map(|_| {
