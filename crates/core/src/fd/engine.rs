@@ -446,20 +446,20 @@ fn init_scores(
     score: &mut [f64],
     scan_keys: &Option<Vec<u64>>,
 ) -> Result<(), par::WorkerPanic> {
-    match scan_keys {
+    with_kernel!(engine.potential, k => match scan_keys {
         None => par::try_par_update_tuned(threads, tuner, score, |key, s| {
-            *s = engine.scored_tension(key as u64);
+            *s = engine.scored_tension(k, key as u64);
         }),
         Some(keys) => {
             let vals = par::try_par_flat_map_tuned(threads, tuner, keys.len(), |i, out| {
-                out.push(engine.scored_tension(keys[i]));
+                out.push(engine.scored_tension(k, keys[i]));
             })?;
             for (&key, t) in keys.iter().zip(vals) {
                 score[key as usize] = t;
             }
             Ok(())
         }
-    }
+    })
 }
 
 /// Refreshes the score table after a sweep's swaps: keys with a stamped
@@ -477,17 +477,17 @@ fn rescore(
     pos_stamp: &[u32],
     epoch: u32,
 ) -> Result<(), par::WorkerPanic> {
-    match scan_keys {
+    with_kernel!(engine.potential, k => match scan_keys {
         None => par::try_par_update_tuned(threads, tuner, score, |key, s| {
             if engine.key_stale(key as u64, pos_stamp, epoch) {
-                *s = engine.scored_tension(key as u64);
+                *s = engine.scored_tension(k, key as u64);
             }
         }),
         Some(keys) => {
             let upd = par::try_par_flat_map_tuned(threads, tuner, keys.len(), |i, out| {
                 let key = keys[i];
                 if engine.key_stale(key, pos_stamp, epoch) {
-                    out.push((key, engine.scored_tension(key)));
+                    out.push((key, engine.scored_tension(k, key)));
                 }
             })?;
             for (key, t) in upd {
@@ -495,7 +495,7 @@ fn rescore(
             }
             Ok(())
         }
-    }
+    })
 }
 
 /// Collects the positive entries of the score table into a queue in
@@ -805,22 +805,9 @@ pub fn force_directed<S: TraceSink + ?Sized>(
         select_top(&mut queue, take);
         let t_select = sink.enabled().then(Instant::now);
 
-        for &(cached, key) in queue.iter().take(take) {
-            // Check before the swap: earlier swaps this iteration may have
-            // flipped this pair's tension (§4.5 design choice 1). Swaps
-            // stamp every position whose force or occupancy they change,
-            // so an untouched pair's recheck would return exactly the
-            // cached (positive) score — skip the recompute.
-            let (p, d) = engine.decode(key);
-            let clean = pos_stamp[p] != epoch
-                && engine.step(p, d).is_some_and(|q| pos_stamp[q] != epoch);
-            let t = if clean { cached } else { engine.tension(key) };
-            if t <= TENSION_EPS {
-                continue;
-            }
-            engine.swap(key, epoch, &mut pos_stamp);
-            swaps += 1;
-        }
+        swaps += with_kernel!(engine.potential, k => {
+            engine.apply_swaps(k, &queue[..take], epoch, &mut pos_stamp)
+        });
         let t_swap = sink.enabled().then(Instant::now);
 
         // Refresh the score table and re-collect the queue, both in
@@ -1025,10 +1012,10 @@ pub fn force_directed<S: TraceSink + ?Sized>(
 
 /// Per-cluster hot record: everything a neighbour patch needs beyond the
 /// SoA coordinate arrays, packed into 40 bytes so one swap's
-/// per-neighbour force update is one cache-line touch. Coordinates
+/// per-neighbour update is one cache-line touch. Coordinates
 /// deliberately live *outside* this record (in the dense `cx`/`cy`
 /// arrays): the patch loop's coordinate reads then hit two small
-/// cache-resident float arrays while only the force writes take the
+/// cache-resident float arrays while only the record writes take the
 /// random cluster-indexed cache miss.
 #[derive(Clone, Copy)]
 struct Hot {
@@ -1038,20 +1025,40 @@ struct Hot {
     /// common case for mesh-adjacent pairs — while a set bit falls
     /// back to the exact row scan.
     sig: u64,
-    /// `force[d]`: energy reduction from moving this cluster one step in
-    /// direction `d` (eq. 27), maintained incrementally across swaps.
+    /// The cluster's forces (eq. 27), maintained incrementally across
+    /// swaps, in one of two layouts chosen by the kernel:
     ///
-    /// Exact: every term is a grid weight times an integer step (see
-    /// [`snap_weights`]), and no partial sum reaches 2^53 grid units, so
-    /// each addition is exact whatever its order. A patched force
-    /// therefore equals a fresh [`Engine::init_hot`] build bit for bit.
-    /// Never `-0.0`: every force starts as a `+0.0` sum and a
-    /// round-to-nearest addition cannot produce `-0.0` from a `+0.0` or
-    /// nonzero operand, so adding a `±0.0` term never changes a force's
-    /// bits, which is what lets the move-only patch skip the two slots
-    /// across the move axis.
-    force: [f64; 4],
+    /// * a force kernel keeps `slots[d]`, the energy reduction from
+    ///   moving the cluster one step in direction `d`;
+    /// * a [`PotKernel::MOMENTS`] kernel (`u_c`) keeps the moments
+    ///   `[G_x, G_y, W, 0]` of its merged row: `W = Σ_k w_k` and
+    ///   `G = Σ_k w_k·(p_k − p) = S − W·p`, the first moment
+    ///   `S = Σ_k w_k·p_k` taken about the cluster's own position `p`
+    ///   (the swap partner included). [`Engine::force`] derives
+    ///   `force(o) = 2⟨G, o⟩ − W` from them alone.
+    ///
+    /// Exact: every force term is a grid weight times an integer step,
+    /// every moment term a grid weight times a mesh displacement, and no
+    /// value or partial sum reaches 2^53 grid units (`|G_x|` is at most
+    /// `W·(rows − 1)`; see [`snap_weights`]). So each addition is exact
+    /// whatever its order: a patched record equals a fresh
+    /// [`Engine::init_hot`] build bit for bit, and a derived `u_c` force
+    /// is the same grid value the four-force record held.
+    ///
+    /// A derived force can be `-0.0` where a summed one is `+0.0` (a
+    /// cluster with no edges, stepping up or left: `2·(−0.0) − 0.0`).
+    /// That never changes a run: a tension adds the two forces and the
+    /// mutual-edge correction, so a signed zero either vanishes against
+    /// a nonzero term (bit-identical result) or leaves a zero tension,
+    /// which is `≤ TENSION_EPS` and can neither queue a pair nor pass
+    /// its recheck.
+    slots: [f64; 4],
 }
+
+/// Slot of the row weight `W` in a moment record (see [`Hot::slots`]);
+/// slots `0` and `1` hold `G_x` and `G_y`, the moments along the axis of
+/// directions `UP`/`DOWN` and `LEFT`/`RIGHT` (`axis = d / 2`).
+const W_SLOT: usize = 2;
 
 /// Bloom-signature bit of cluster `k` (see [`Hot::sig`]).
 #[inline]
@@ -1343,7 +1350,7 @@ impl<'a> Engine<'a> {
         // forces, so the initial build is an independent per-index fill.
         // A worker panic here happens before any progress exists, so
         // there is nothing to checkpoint — the typed error is enough.
-        let mut hot = vec![Hot { sig: 0, force: [0.0; 4] }; n];
+        let mut hot = vec![Hot { sig: 0, slots: [0.0; 4] }; n];
         {
             let eng = &engine;
             with_kernel!(potential, k => {
@@ -1488,8 +1495,8 @@ impl<'a> Engine<'a> {
     /// PCN build time, so this documents and enforces an invariant
     /// rather than handling an expected case).
     #[inline]
-    fn scored_tension(&self, key: u64) -> f64 {
-        let t = self.tension(key);
+    fn scored_tension<K: PotKernel>(&self, kern: K, key: u64) -> f64 {
+        let t = self.tension(kern, key);
         debug_assert!(!t.is_nan(), "NaN tension produced for pair key {key}");
         t
     }
@@ -1527,8 +1534,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Initial hot record of cluster `c`: its neighbour signature plus
-    /// the four directed forces of eq. 27. Pure in everything except
-    /// `hot` itself, so initial builds can run one cluster per worker.
+    /// the four directed forces of eq. 27, or for a moment kernel the
+    /// row moments `[G_x, G_y, W, 0]` (see [`Hot::slots`]). Pure in
+    /// everything except `hot` itself, so initial builds can run one
+    /// cluster per worker.
     ///
     /// The merged row is walked once with the four directions in the
     /// inner loop (each direction's slot still accumulates its terms in
@@ -1537,12 +1546,22 @@ impl<'a> Engine<'a> {
     /// `u(d) − u(d − o)` at the neighbour's displacement `d`; neighbour
     /// coordinates come straight from the cluster-indexed SoA arrays.
     fn init_hot<K: PotKernel>(&self, kern: K, c: u32) -> Hot {
-        let p = self.pos[c as usize] as usize;
-        let hx = self.cx[c as usize];
-        let hy = self.cy[c as usize];
-        let valid: [bool; 4] = std::array::from_fn(|d| self.step(p, d).is_some());
         let mut f = [0.0f64; 4];
         let mut sig = 0u64;
+        let hx = self.cx[c as usize];
+        let hy = self.cy[c as usize];
+        if K::MOMENTS {
+            for &(k, w) in self.row(c) {
+                sig |= sig_bit(k);
+                let w = w as f64;
+                f[0] += w * (self.cx[k as usize] - hx);
+                f[1] += w * (self.cy[k as usize] - hy);
+                f[W_SLOT] += w;
+            }
+            return Hot { sig, slots: f };
+        }
+        let p = self.pos[c as usize] as usize;
+        let valid: [bool; 4] = std::array::from_fn(|d| self.step(p, d).is_some());
         for &(k, w) in self.row(c) {
             sig |= sig_bit(k);
             let dx = self.cx[k as usize] - hx;
@@ -1553,7 +1572,22 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        Hot { sig, force: f }
+        Hot { sig, slots: f }
+    }
+
+    /// Force of cluster `c` in the in-mesh direction `d` (eq. 27): the
+    /// stored slot for a force kernel, or `2⟨G, o_d⟩ − W` from a moment
+    /// record, exact either way (see [`Hot::slots`]).
+    #[inline(always)]
+    fn force<K: PotKernel>(&self, c: u32, d: usize) -> f64 {
+        let s = &self.hot[c as usize].slots;
+        if !K::MOMENTS {
+            return s[d];
+        }
+        let g = s[d / 2];
+        // DOWN and RIGHT step +1 along their axis, UP and LEFT −1.
+        let along = if d % 2 == 1 { g } else { -g };
+        2.0 * along - s[W_SLOT]
     }
 
     /// Total traffic on the (up to two) directed connections between two
@@ -1616,7 +1650,8 @@ impl<'a> Engine<'a> {
     /// a swap preserves), so that term is corrected out. Each force
     /// counts the mutual weight `w` once at `u(unit) − u(0)`, which is 1
     /// for every force kernel, so the correction is `2·w`.
-    fn tension(&self, key: u64) -> f64 {
+    #[inline(always)]
+    fn tension<K: PotKernel>(&self, _kern: K, key: u64) -> f64 {
         let (p, d) = self.decode(key);
         let Some(q) = self.step(p, d) else { return 0.0 };
         if self.frozen(p, q) {
@@ -1628,19 +1663,18 @@ impl<'a> Engine<'a> {
             if cv == EMPTY {
                 return 0.0;
             }
-            self.hot[cv as usize].force[opposite(d)]
+            self.force::<K>(cv, opposite(d))
         } else if cv == EMPTY {
-            self.hot[cu as usize].force[d]
+            self.force::<K>(cu, d)
         } else {
-            let hu = &self.hot[cu as usize];
-            let naive = hu.force[d] + self.hot[cv as usize].force[opposite(d)];
+            let naive = self.force::<K>(cu, d) + self.force::<K>(cv, opposite(d));
             match self.tension_mode {
                 TensionMode::Exact => {
                     // The signature test proves most mesh-adjacent pairs
                     // unconnected without a row scan; the correction
                     // expression is kept verbatim either way so the f64
                     // result (down to signed zeros) is unchanged.
-                    let mutual = if hu.sig & sig_bit(cv) == 0 {
+                    let mutual = if self.hot[cu as usize].sig & sig_bit(cv) == 0 {
                         0.0
                     } else {
                         self.mutual_weight(cu, cv)
@@ -1678,19 +1712,45 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Swaps the occupants of a pair and maintains the force records:
-    /// rebuilds at the two positions fused with O(1)-per-edge patches at
-    /// every graph neighbour (Algorithm 3 lines 20–26). Every position
-    /// whose force or occupancy changes — the pair's own two included —
-    /// is stamped into `pos_stamp`, which is what lets callers trust
-    /// cached tensions of unstamped pairs and the rescore scan find
-    /// every stale one. The caller's placement is deliberately not
-    /// touched — see [`Engine::writeback`].
-    fn swap(&mut self, key: u64, epoch: u32, pos_stamp: &mut [u32]) {
-        with_kernel!(self.potential, k => self.swap_with(k, key, epoch, pos_stamp))
+    /// Applies a sweep's top-λ prefix in list order (Algorithm 3 lines
+    /// 15–27) and returns the number of swaps made. Each pair is
+    /// rechecked just before its swap, since earlier swaps this sweep
+    /// may have flipped its tension (§4.5 design choice 1). Swaps stamp
+    /// every position whose force or occupancy they change, so an
+    /// unstamped pair's recheck would return exactly the cached
+    /// (positive) score — it is skipped.
+    fn apply_swaps<K: PotKernel>(
+        &mut self,
+        kern: K,
+        top: &[(f64, u64)],
+        epoch: u32,
+        pos_stamp: &mut [u32],
+    ) -> u64 {
+        let mut applied = 0;
+        for &(cached, key) in top {
+            let (p, d) = self.decode(key);
+            let clean =
+                pos_stamp[p] != epoch && self.step(p, d).is_some_and(|q| pos_stamp[q] != epoch);
+            let t = if clean { cached } else { self.tension(kern, key) };
+            if t <= TENSION_EPS {
+                continue;
+            }
+            self.swap_with(kern, key, epoch, pos_stamp);
+            applied += 1;
+        }
+        applied
     }
 
-    /// [`Engine::swap`] through the potential kernel `kern`.
+    /// Swaps the occupants of a pair and maintains the hot records
+    /// (Algorithm 3 lines 20–26): a moment kernel shifts every graph
+    /// neighbour's moment along the move axis and rebuilds nothing; a
+    /// force kernel rebuilds the two moved clusters fused with O(1)-per-
+    /// edge patches at every graph neighbour. Every position whose force
+    /// or occupancy changes — the pair's own two included — is stamped
+    /// into `pos_stamp`, which is what lets callers trust cached tensions
+    /// of unstamped pairs and the rescore scan find every stale one. The
+    /// caller's placement is deliberately not touched — see
+    /// [`Engine::writeback`].
     fn swap_with<K: PotKernel>(&mut self, kern: K, key: u64, epoch: u32, pos_stamp: &mut [u32]) {
         let (p, d) = self.decode(key);
         let Some(q) = self.step(p, d) else { return };
@@ -1713,21 +1773,32 @@ impl<'a> Engine<'a> {
         pos_stamp[p] = epoch;
         pos_stamp[q] = epoch;
 
-        // Each moved cluster's edges are walked exactly once: the pass
-        // patches its neighbours' forces *and* accumulates the cluster's
-        // own rebuilt force at its new position. The cu pass runs first so
-        // neighbours shared by both clusters receive their patches in the
-        // same order as separate patch-then-rebuild phases would apply
-        // them; the rebuilt forces only read coordinates, never forces,
-        // so committing each one right after its pass is equivalent to
-        // full rebuilds.
-        if cu != EMPTY {
-            let f = self.patch_and_rebuild(kern, cu, (qx, qy), d, cv, epoch, pos_stamp);
-            self.hot[cu as usize].force = f;
-        }
-        if cv != EMPTY {
-            let f = self.patch_and_rebuild(kern, cv, (px, py), opposite(d), cu, epoch, pos_stamp);
-            self.hot[cv as usize].force = f;
+        if K::MOMENTS {
+            if cu != EMPTY {
+                self.shift_moments(cu, d, epoch, pos_stamp);
+            }
+            if cv != EMPTY {
+                self.shift_moments(cv, opposite(d), epoch, pos_stamp);
+            }
+        } else {
+            // Each moved cluster's edges are walked exactly once: the
+            // pass patches its neighbours' forces *and* accumulates the
+            // cluster's own rebuilt force at its new position. The cu pass
+            // runs first so neighbours shared by both clusters receive
+            // their patches in the same order as separate
+            // patch-then-rebuild phases would apply them; the rebuilt
+            // forces only read coordinates, never forces, so committing
+            // each one right after its pass is equivalent to full
+            // rebuilds.
+            if cu != EMPTY {
+                let f = self.patch_and_rebuild(kern, cu, (qx, qy), d, cv, epoch, pos_stamp);
+                self.hot[cu as usize].slots = f;
+            }
+            if cv != EMPTY {
+                let f =
+                    self.patch_and_rebuild(kern, cv, (px, py), opposite(d), cu, epoch, pos_stamp);
+                self.hot[cv as usize].slots = f;
+            }
         }
 
         // Fold the move into the incremental congestion map (integer
@@ -1750,6 +1821,26 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// After `moved` took one step `o` in direction `dir`: adds `w·o`
+    /// along the move axis to the moment `G` of every graph neighbour
+    /// of `moved`, the swap partner included (one add per row entry),
+    /// and stamps the neighbour's position; `moved`'s own `G`, taken
+    /// about its own position, loses `W·o`. Reads neither coordinates
+    /// nor forces: the forces follow from the moments on demand (see
+    /// [`Engine::force`]).
+    fn shift_moments(&mut self, moved: u32, dir: usize, epoch: u32, pos_stamp: &mut [u32]) {
+        let axis = dir / 2;
+        let sign = if dir % 2 == 1 { 1.0 } else { -1.0 };
+        let lo = self.adj_off[moved as usize] as usize;
+        let hi = self.adj_off[moved as usize + 1] as usize;
+        for &(k, w) in &self.adj[lo..hi] {
+            self.hot[k as usize].slots[axis] += sign * w as f64;
+            pos_stamp[self.pos[k as usize] as usize] = epoch;
+        }
+        let own = &mut self.hot[moved as usize].slots;
+        own[axis] -= sign * own[W_SLOT];
+    }
+
     /// After `moved` took one step in direction `dir` to `to`: adjusts
     /// the force of each of its graph neighbours by the per-edge delta
     /// (skipping `other`, the second moved cluster, whose force is
@@ -1763,11 +1854,6 @@ impl<'a> Engine<'a> {
     /// passes. All coordinate arithmetic runs on `f64` scalars (exact
     /// mesh integers, so every displacement and bounds test below
     /// reproduces the integer forms bit-for-bit).
-    ///
-    /// For a [`PotKernel::MOVE_ONLY_PATCH`] kernel a neighbour's delta
-    /// in slot `e` is `w·2⟨o_dir, o_e⟩`: `+2w` in slot `dir`, `−2w` in
-    /// its opposite, and an exact zero across the axis, which is skipped
-    /// (forces never hold `-0.0`, see [`Hot::force`]).
     #[allow(clippy::too_many_arguments)]
     fn patch_and_rebuild<K: PotKernel>(
         &mut self,
@@ -1785,7 +1871,6 @@ impl<'a> Engine<'a> {
         let (tx, ty) = to;
         let (mx, my) = OFFSETS[dir];
         let (fx, fy) = (tx - mx, ty - my);
-        let back = opposite(dir);
         let tvalid: [bool; 4] =
             std::array::from_fn(|d| in_mesh(tx + OFFSETS[d].0, ty + OFFSETS[d].1));
         let mut f = [0.0f64; 4];
@@ -1807,25 +1892,15 @@ impl<'a> Engine<'a> {
             if k == moved || k == other {
                 continue;
             }
+            // Force term of edge (k, moved) in direction d changed from
+            // the `from` position to the `to` position.
             let hk = &mut self.hot[k as usize];
-            if K::MOVE_ONLY_PATCH {
-                let two_w = w * 2.0;
-                if in_mesh(kx + mx, ky + my) {
-                    hk.force[dir] += two_w;
-                }
-                if in_mesh(kx - mx, ky - my) {
-                    hk.force[back] -= two_w;
-                }
-            } else {
-                // Force term of edge (k, moved) in direction d changed
-                // from the `from` position to the `to` position.
-                let (dx, dy) = (tx - kx, ty - ky);
-                let (fdx, fdy) = (fx - kx, fy - ky);
-                for (d, &(ox, oy)) in OFFSETS.iter().enumerate() {
-                    if in_mesh(kx + ox, ky + oy) {
-                        hk.force[d] +=
-                            w * (kern.step_diff(dx, dy, ox, oy) - kern.step_diff(fdx, fdy, ox, oy));
-                    }
+            let (dx, dy) = (tx - kx, ty - ky);
+            let (fdx, fdy) = (fx - kx, fy - ky);
+            for (d, &(ox, oy)) in OFFSETS.iter().enumerate() {
+                if in_mesh(kx + ox, ky + oy) {
+                    hk.slots[d] +=
+                        w * (kern.step_diff(dx, dy, ox, oy) - kern.step_diff(fdx, fdy, ox, oy));
                 }
             }
             pos_stamp[self.pos[k as usize] as usize] = epoch;
@@ -1875,6 +1950,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fd::potential::KL2Sq;
     use crate::{hsc_placement, random_placement};
     use snnmap_hw::CostModel;
     use snnmap_metrics::energy;
@@ -1889,6 +1965,11 @@ mod tests {
 
     fn small_pcn() -> Pcn {
         random_pcn(64, 4.0, 42).unwrap()
+    }
+
+    /// [`Engine::tension`] through the engine's own kernel.
+    fn tension(e: &Engine, key: u64) -> f64 {
+        with_kernel!(e.potential, k => e.tension(k, key))
     }
 
     #[test]
@@ -1990,7 +2071,7 @@ mod tests {
             for d in [DOWN, RIGHT] {
                 if let Some(key) = engine.pair_key(pos, d) {
                     assert!(
-                        engine.tension(key) <= TENSION_EPS,
+                        tension(&engine, key) <= TENSION_EPS,
                         "positive tension survived at pos {pos} dir {d}"
                     );
                 }
@@ -1998,8 +2079,8 @@ mod tests {
         }
     }
 
-    /// `u_c` with the default `step_diff` and the generic patch: the
-    /// two-call reference the closed-form [`KL2Sq`] path must match.
+    /// `u_c` as a force kernel: four forces, the two-call `step_diff` and
+    /// the generic patch — the reference the moment record must match.
     #[derive(Clone, Copy)]
     struct KL2SqGeneric;
 
@@ -2070,9 +2151,24 @@ mod tests {
         for (c, (ha, hb)) in a.iter().zip(b).enumerate() {
             assert_eq!(ha.sig, hb.sig, "{at}: cluster {c} signature");
             for d in 0..4 {
-                let (fa, fb) = (ha.force[d], hb.force[d]);
+                let (fa, fb) = (ha.slots[d], hb.slots[d]);
                 assert_eq!(fa.to_bits(), fb.to_bits(), "{at}: cluster {c} slot {d}: {fa} vs {fb}");
-                assert!(fa != 0.0 || fa.is_sign_positive(), "{at}: -0.0 force at cluster {c}");
+                assert!(fa != 0.0 || fa.is_sign_positive(), "{at}: -0.0 slot at cluster {c}");
+            }
+        }
+    }
+
+    /// Every in-mesh direction's `u_c` force derived from `a`'s moment
+    /// records equals the four-force record `forces` holds, compared
+    /// with `==` (a derived `-0.0` may stand for a summed `+0.0`, see
+    /// [`Hot::slots`]).
+    fn assert_moments_give_forces(a: &Engine, forces: &[Hot], at: &str) {
+        for c in 0..a.hot.len() as u32 {
+            let p = a.pos[c as usize] as usize;
+            assert_eq!(a.hot[c as usize].sig, forces[c as usize].sig, "{at}: cluster {c}");
+            for d in (0..4).filter(|&d| a.step(p, d).is_some()) {
+                let (derived, want) = (a.force::<KL2Sq>(c, d), forces[c as usize].slots[d]);
+                assert!(derived == want, "{at}: cluster {c} dir {d}: {derived} vs {want}");
             }
         }
     }
@@ -2109,13 +2205,14 @@ mod tests {
 
     #[test]
     fn closed_form_swaps_match_the_generic_kernel_bitwise() {
-        // Exactness of the incremental forces. Weights over 43 binades
+        // Exactness of the incremental records. Weights over 43 binades
         // force the grid to round; every potential runs with a fault
         // mask, a board capacity filter and a region mask, at 1 and 4
-        // threads. After every swap each patched force equals a fresh
-        // `init_hot` build bit for bit (for u_c also through the generic
-        // two-call kernel and patch), and two swaps with disjoint
-        // footprints commute bit for bit.
+        // threads. After every swap each patched record equals a fresh
+        // `init_hot` build bit for bit; for u_c every in-mesh force
+        // derived from the moments equals both the generic kernel's
+        // patched force and its fresh build, and the stamps agree. Two
+        // swaps with disjoint footprints commute bit for bit.
         let pcn = wide_binade_pcn(40, 120, 0x9e37_79b9_7f4a_7c15);
         let mut board = Board::parse("2x2/4x4@64,4096").unwrap();
         let mesh = board.mesh();
@@ -2146,6 +2243,8 @@ mod tests {
                         .collect()
                 };
                 assert_hot_identical(&a.hot, &fresh(&a), &format!("{pot:?} initial build"));
+                // `b` runs u_c as a force kernel alongside `a`'s moments.
+                b.hot = (0..b.hot.len() as u32).map(|c| b.init_hot(KL2SqGeneric, c)).collect();
                 let mut stamp_a = vec![0u32; mesh.len()];
                 let mut stamp_b = vec![0u32; mesh.len()];
                 let (mut swaps, mut moves_into_empty, mut commuted) = (0, 0, 0);
@@ -2156,7 +2255,7 @@ mod tests {
                     let d = if r & 1 == 0 { DOWN } else { RIGHT };
                     let Some(key) = a.pair_key(p, d) else { continue };
                     let q = a.step(p, d).unwrap();
-                    assert!(!a.tension(key).is_nan());
+                    assert!(!tension(&a, key).is_nan());
                     if a.frozen(p, q) || (a.occ[p] == EMPTY && a.occ[q] == EMPTY) {
                         continue;
                     }
@@ -2167,11 +2266,12 @@ mod tests {
                     if pot == Potential::L2Squared {
                         b.swap_with(KL2SqGeneric, key, epoch, &mut stamp_b);
                         assert_eq!(stamp_a, stamp_b, "swap {epoch}: stamped positions differ");
-                        assert_hot_identical(&a.hot, &b.hot, &format!("generic patch, swap {epoch}"));
+                        assert_moments_give_forces(&a, &b.hot, &format!("generic patch, swap {epoch}"));
                         let generic: Vec<Hot> = (0..a.hot.len() as u32)
                             .map(|c| a.init_hot(KL2SqGeneric, c))
                             .collect();
-                        assert_hot_identical(&a.hot, &generic, &format!("generic build, swap {epoch}"));
+                        assert_hot_identical(&b.hot, &generic, &format!("generic build, swap {epoch}"));
+                        assert_moments_give_forces(&a, &generic, &format!("generic build, swap {epoch}"));
                     }
                     swaps += 1;
                     let at = format!("{pot:?} at {threads} threads, swap {epoch}");
@@ -2280,7 +2380,7 @@ mod tests {
                 )
                 .unwrap();
                 for key in 0..2 * mesh.len() as u64 {
-                    let t = e.tension(key);
+                    let t = tension(&e, key);
                     assert!(t.abs() < e.tension_limit, "{name} {pot:?}: tension {t}");
                 }
             }
@@ -2467,7 +2567,7 @@ mod tests {
             for d in [DOWN, RIGHT] {
                 if let Some(key) = engine.pair_key(pos, d) {
                     assert!(
-                        engine.tension(key) <= TENSION_EPS,
+                        tension(&engine, key) <= TENSION_EPS,
                         "positive tension survived at pos {pos} dir {d}"
                     );
                 }

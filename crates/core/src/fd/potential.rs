@@ -1,8 +1,9 @@
 //! Potential-energy field shapes (§4.4.2, eqs. 19–21 and 25) and their
 //! monomorphized distance kernels.
 //!
-//! The FD engine keeps every cluster's four directed forces (eq. 27)
-//! current across swaps. Each force term is a *step difference*
+//! The FD engine keeps every cluster's four directed forces (eq. 27),
+//! or for `u_c` the two moments they derive from, current across swaps.
+//! Each force term is a *step difference*
 //! `u(d) − u(d − o)`: the energy an edge of displacement `d` loses when
 //! its endpoint takes the unit step `o`. The kernels below make that
 //! difference cheap without changing a single result bit:
@@ -24,19 +25,18 @@
 //!   It runs the [`KL1`] kernel, and the slope enters only where a
 //!   composite objective adds the energy term to other terms.
 //!   [`Potential::value`] and the reported FD energy keep eq. 25.
-//! * **Closed-form step differences** — [`PotKernel::step_diff`] defaults
-//!   to the two-call expression `u(d) − u(d − o)`. For the paper's `u_c`
-//!   (eq. 21) it is `2⟨d, o⟩ − 1`, the same exact integer, so
-//!   [`KL2Sq`] overrides it with no kernel call at all.
-//! * **Move-only patches** — for `u_c` the change a swap makes to a
-//!   neighbour's force, `step_diff(to − k, o) − step_diff(from − k, o)`,
-//!   is `2⟨to − from, o⟩`: it depends on the move alone. Kernels with
-//!   [`PotKernel::MOVE_ONLY_PATCH`] let the engine patch each neighbour
-//!   with `±2w` in the two slots along the move axis and skip the two
-//!   across it. The other kernels keep the generic per-edge patch.
+//! * **Neighbour moments for `u_c`** — for the paper's `u_c` (eq. 21)
+//!   the step difference is `2⟨d, o⟩ − 1`, affine in the displacement,
+//!   so a cluster's four forces collapse to two moments of its merged
+//!   row: `force_c(o) = 2⟨G_c, o⟩ − W_c` with `W_c = Σ_k w_k` and
+//!   `G_c = Σ_k w_k·(p_k − p_c)`. Kernels with [`PotKernel::MOMENTS`]
+//!   make the engine keep `(G_c, W_c)` instead of forces: a swap adds
+//!   `±w` on the move axis to each graph neighbour's `G` and `∓W` to the
+//!   moved cluster's own, and rebuilds nothing. The other kernels keep
+//!   four forces and the generic per-edge patch.
 //! * **Kernel monomorphization** — the [`with_kernel!`] macro dispatches
-//!   the `Potential` enum **once per loop** (per cluster rebuild, per
-//!   swap) to a zero-sized kernel type whose methods inline with no
+//!   the `Potential` enum **once per loop** (per force build, per
+//!   scoring pass, per sweep's swap loop) to a zero-sized kernel type whose methods inline with no
 //!   per-edge match.
 
 use snnmap_hw::CostModel;
@@ -131,20 +131,19 @@ impl Default for Potential {
 /// generic over `K: PotKernel` compiles to straight-line float code with
 /// no per-edge enum match. Dispatch with [`with_kernel!`].
 pub(crate) trait PotKernel: Copy + Send + Sync {
-    /// Whether a swap's force patch at a graph neighbour depends only on
-    /// the move: `step_diff(to − k, o) − step_diff(from − k, o)` equals
-    /// `2⟨to − from, o⟩` bit for bit at every neighbour `k` and unit step
-    /// `o`. True only where `step_diff` is exactly affine in the
-    /// displacement with slope `2o` on mesh integers.
-    const MOVE_ONLY_PATCH: bool = false;
+    /// Whether the engine keeps this kernel's forces as neighbour
+    /// moments `(G_c, W_c)` rather than four directed forces. True only
+    /// where `u(d) − u(d − o)` equals `2⟨d, o⟩ − 1` bit for bit on mesh
+    /// integers, which makes every force an exact function of the
+    /// moments.
+    const MOMENTS: bool = false;
 
     /// Potential at float displacement `(dx, dy)`; exact for integer
     /// displacements (see [`Potential::value`]).
     fn u(self, dx: f64, dy: f64) -> f64;
 
     /// `u(d) − u(d − o)` for displacement `d = (dx, dy)` and unit step
-    /// `o = (ox, oy)`. An override must return the same bits as this
-    /// default for every mesh displacement.
+    /// `o = (ox, oy)`.
     #[inline(always)]
     fn step_diff(self, dx: f64, dy: f64, ox: f64, oy: f64) -> f64 {
         self.u(dx, dy) - self.u(dx - ox, dy - oy)
@@ -178,18 +177,11 @@ impl PotKernel for KL1Sq {
 }
 
 impl PotKernel for KL2Sq {
-    const MOVE_ONLY_PATCH: bool = true;
+    const MOMENTS: bool = true;
 
     #[inline(always)]
     fn u(self, dx: f64, dy: f64) -> f64 {
         dx * dx + dy * dy
-    }
-
-    /// `|d|² − |d − o|² = 2⟨d, o⟩ − |o|²`, with `|o|² = 1`. On mesh
-    /// integers both sides are the same odd integer, exact in `f64`.
-    #[inline(always)]
-    fn step_diff(self, dx: f64, dy: f64, ox: f64, oy: f64) -> f64 {
-        2.0 * (dx * ox + dy * oy) - 1.0
     }
 }
 
@@ -199,7 +191,7 @@ impl PotKernel for KL2Sq {
 /// [`KL1`]):
 ///
 /// ```ignore
-/// with_kernel!(self.potential, k => self.swap_with(k, key, epoch, pos_stamp))
+/// with_kernel!(engine.potential, k => engine.apply_swaps(k, top, epoch, &mut pos_stamp))
 /// ```
 macro_rules! with_kernel {
     ($pot:expr, $k:ident => $body:expr) => {
@@ -316,59 +308,26 @@ mod tests {
         })
     }
 
-    fn assert_step_diff_bitwise<K: PotKernel>(k: K, p: Potential) {
-        for (dx, dy) in displacements() {
-            for (ox, oy) in STEPS {
-                let want = k.u(dx, dy) - k.u(dx - ox, dy - oy);
-                let got = k.step_diff(dx, dy, ox, oy);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{p:?} at ({dx},{dy}) step ({ox},{oy}): {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn step_diff_matches_two_potential_calls_bitwise() {
-        for p in ALL {
-            with_kernel!(p, k => assert_step_diff_bitwise(k, p));
-        }
-    }
-
-    fn assert_move_only_patch<K: PotKernel>(k: K, p: Potential) {
-        if !K::MOVE_ONLY_PATCH {
+    fn assert_moment_form<K: PotKernel>(k: K, p: Potential) {
+        if !K::MOMENTS {
             return;
         }
-        // `from − k` runs over the displacement range; `to = from + m`.
-        for (fx, fy) in displacements() {
-            for (mx, my) in STEPS {
-                let (tx, ty) = (fx + mx, fy + my);
-                for (ox, oy) in STEPS {
-                    let generic = k.step_diff(tx, ty, ox, oy) - k.step_diff(fx, fy, ox, oy);
-                    let reference = (k.u(tx, ty) - k.u(tx - ox, ty - oy))
-                        - (k.u(fx, fy) - k.u(fx - ox, fy - oy));
-                    assert_eq!(generic.to_bits(), reference.to_bits(), "{p:?}");
-                    if mx * ox + my * oy == 0.0 {
-                        // Across the move axis: an exact +0.0, which the
-                        // engine may skip adding (it never holds -0.0).
-                        assert_eq!(reference.to_bits(), 0.0f64.to_bits(), "{p:?}");
-                    } else {
-                        let along = 2.0 * (mx * ox + my * oy);
-                        assert_eq!(reference.to_bits(), along.to_bits(), "{p:?}");
-                    }
-                }
+        // `|d|² − |d − o|² = 2⟨d, o⟩ − |o|²` with `|o|² = 1`: on mesh
+        // integers both sides are the same odd integer, exact in f64.
+        for (dx, dy) in displacements() {
+            for (ox, oy) in STEPS {
+                let moment = 2.0 * (dx * ox + dy * oy) - 1.0;
+                assert_eq!(k.step_diff(dx, dy, ox, oy).to_bits(), moment.to_bits(), "{p:?}");
             }
         }
     }
 
     #[test]
-    fn move_only_patch_reduces_to_twice_the_move() {
+    fn moment_kernels_step_by_twice_the_displacement_minus_one() {
         // The property is checked for real on at least one kernel.
-        const _: () = assert!(KL2Sq::MOVE_ONLY_PATCH);
+        const _: () = assert!(KL2Sq::MOMENTS);
         for p in ALL {
-            with_kernel!(p, k => assert_move_only_patch(k, p));
+            with_kernel!(p, k => assert_moment_form(k, p));
         }
     }
 
