@@ -84,11 +84,10 @@ fn repair(
 /// HSC + 40 capped FD sweeps; returns the FD wall time too.
 fn fd_reference(pcn: &Pcn, threads: usize) -> (Placement, FdStats, Duration) {
     let mut p = hsc_placement(pcn, square(256), None, threads).expect("HSC");
-    let config = FdConfig { max_iterations: Some(40), threads, ..FdConfig::default() };
+    let config = FdConfig { threads, ..FdConfig::default() };
     let start = Instant::now();
-    let stats =
-        force_directed(pcn, &mut p, &config, None, None, &mut FdRunOpts::default(), &mut NoopSink)
-            .expect("FD");
+    let stats = force_directed(pcn, &mut p, &config, None, None, &mut capped(40), &mut NoopSink)
+        .expect("FD");
     (p, stats, start.elapsed())
 }
 
@@ -214,8 +213,10 @@ fn resume_from_any_kill_offset_matches_the_uninterrupted_run() {
             let checkpoint = slot.expect("a budgeted stop flushes a checkpoint");
             assert_eq!(checkpoint.sweeps, kill);
 
+            let mut opts = capped(6);
+            opts.resume = Some(checkpoint);
             let resumed = mapper
-                .resume_traced(&pcn, &checkpoint, &mut capped(6), &mut NoopSink)
+                .map_budgeted_traced(&pcn, mesh, &mut opts, &mut NoopSink)
                 .expect("resumed run");
             assert_eq!(resumed.fd_stats.expect("FD ran").iterations, 6);
             assert_eq!(
@@ -341,12 +342,11 @@ fn pareto(workload: &str, points: &[ParetoPoint]) {
                     Objective::Energy
                 },
                 reweight_every: composite.then_some(4),
-                max_iterations: Some(64),
                 threads,
                 ..FdConfig::default()
             };
             let mut noc = NocReweighter::new(&pcn, 0.25 / wmax, 256, 42);
-            let mut opts = FdRunOpts::default();
+            let mut opts = capped(64);
             if composite {
                 opts.reweighter = Some(&mut noc);
             }

@@ -704,8 +704,10 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
 /// written by `map --checkpoint-out`. The mapper configuration flags must
 /// match the original run — the checkpoint's provenance digests are
 /// verified before any work happens — while budgets may differ freely
-/// (resuming under a new budget is the point). The resumed run is
-/// bit-identical to the uninterrupted one.
+/// (resuming under a new budget is the point). The run is the same
+/// [`Mapper::map_budgeted_traced`](snnmap_core::Mapper::map_budgeted_traced)
+/// request `map` makes, with the checkpoint as its resume state, so it is
+/// bit-identical to the uninterrupted run.
 pub fn resume(args: &[String]) -> Result<String, CliError> {
     let o = Opts::parse(
         args,
@@ -773,9 +775,10 @@ pub fn resume(args: &[String]) -> Result<String, CliError> {
         writer.as_mut().map(|w| w as &mut dyn FnMut(&FdCheckpoint) -> Result<(), String>),
     );
     run_opts.budget.cancel = Some(signal::install());
-    let restored_sweeps = checkpoint.sweeps;
+    let (restored_sweeps, mesh) = (checkpoint.sweeps, checkpoint.mesh);
+    run_opts.resume = Some(checkpoint);
     let outcome = with_sink(trace_out.as_deref(), trace_timing, |sink| {
-        mapper.resume_traced(&pcn, &checkpoint, &mut run_opts, sink)
+        mapper.map_budgeted_traced(&pcn, mesh, &mut run_opts, sink)
     })?;
     if was_cancelled(&outcome) {
         return Err(interrupted_exit(out, &outcome, resilience.checkpoint_out.as_deref()));

@@ -57,8 +57,9 @@ use crate::{par, CoreError, Potential};
 /// preserving the monotone-descent convergence argument (eq. 31).
 /// [`TensionMode::PaperNaive`] keeps the uncorrected sum for ablation:
 /// it can claim positive tension on swaps that actually increase energy,
-/// so runs in this mode are automatically iteration-capped (oscillation
-/// is otherwise possible on heavily connected neighbours).
+/// so a run in this mode without a [`RunBudget::max_sweeps`] is capped
+/// at 1,000 sweeps (oscillation is otherwise possible on heavily
+/// connected neighbours).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TensionMode {
     /// Correct the mutual-edge double count (the default; used for all
@@ -96,12 +97,6 @@ pub struct FdConfig {
     /// Fraction of the sorted queue swapped per iteration (§4.5 fixes
     /// 30% as the practical speed/quality balance).
     pub lambda: f64,
-    /// Optional hard cap on iterations (the algorithm otherwise runs to
-    /// convergence, which eq. 31 guarantees is finite).
-    pub max_iterations: Option<u64>,
-    /// Optional wall-clock budget; the algorithm stops at the end of the
-    /// iteration during which the budget expires.
-    pub time_budget: Option<Duration>,
     /// Tension bookkeeping: exact swap delta vs the paper's naive force
     /// sum (ablation).
     pub tension_mode: TensionMode,
@@ -123,7 +118,8 @@ pub struct FdConfig {
     /// congestion map) for router heat and folds it into the congestion
     /// term's weight field, then rescores everything. Requires a
     /// non-energy objective; incompatible with checkpointing/resume
-    /// (the weight field is not part of [`FdCheckpoint`]).
+    /// (the weight field is not part of [`FdCheckpoint`]). A reweighting
+    /// run without a [`RunBudget::max_sweeps`] is capped at 1,000 sweeps.
     pub reweight_every: Option<u64>,
 }
 
@@ -132,8 +128,6 @@ impl Default for FdConfig {
         Self {
             potential: Potential::default(),
             lambda: 0.3,
-            max_iterations: None,
-            time_budget: None,
             tension_mode: TensionMode::Exact,
             threads: 0,
             objective: Objective::Energy,
@@ -170,11 +164,9 @@ pub struct FdStats {
 pub enum StopReason {
     /// The positive-tension queue emptied: no swap can lower the energy.
     Converged,
-    /// A wall-clock limit fired ([`RunBudget::deadline`] or
-    /// [`FdConfig::time_budget`]).
+    /// [`RunBudget::deadline`] fired.
     DeadlineExpired,
-    /// A sweep cap fired ([`RunBudget::max_sweeps`] or
-    /// [`FdConfig::max_iterations`]).
+    /// [`RunBudget::max_sweeps`] fired.
     SweepCapReached,
     /// The [`RunBudget::cancel`] flag was raised.
     Cancelled,
@@ -199,11 +191,15 @@ impl std::fmt::Display for StopReason {
     }
 }
 
-/// Cooperative stop conditions, checked at sweep boundaries.
+/// Cooperative stop conditions, checked at sweep boundaries: the only
+/// way a Force-Directed run stops before convergence.
 ///
 /// All three limits compose (first to fire wins) and all make FD an
 /// *anytime* algorithm: hitting a limit is not an error, the run returns
-/// its best-so-far placement tagged with the [`StopReason`].
+/// its best-so-far placement tagged with the [`StopReason`]. Without a
+/// sweep cap a run converges (eq. 31 makes that finite), except in
+/// [`TensionMode::PaperNaive`] or with [`FdConfig::reweight_every`],
+/// where it stops after 1,000 sweeps.
 ///
 /// The deadline clock starts when the run (or resumed run) enters the
 /// engine; it is per-invocation, not cumulative across resumes.
@@ -243,32 +239,6 @@ pub struct FdCheckpoint {
     pub energy: f64,
 }
 
-/// Resume state extracted from a checkpoint ([`FdRunOpts::resume`]).
-///
-/// Deliberately excludes coordinates: the caller restores those into the
-/// [`Placement`] it passes in (see `Mapper::resume_traced`), keeping this
-/// type a pure engine-state overlay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FdResume {
-    /// Sweeps already completed (seeds the sweep counter).
-    pub sweeps: u64,
-    /// Swaps already applied (seeds the swap counter).
-    pub swaps: u64,
-    /// System energy of the original input placement.
-    pub initial_energy: f64,
-}
-
-impl FdResume {
-    /// Extracts the engine-state overlay of `checkpoint`.
-    pub fn from_checkpoint(checkpoint: &FdCheckpoint) -> Self {
-        FdResume {
-            sweeps: checkpoint.sweeps,
-            swaps: checkpoint.swaps,
-            initial_energy: checkpoint.initial_energy,
-        }
-    }
-}
-
 /// A caller-supplied checkpoint writer ([`FdRunOpts::on_checkpoint`]):
 /// receives each flushed snapshot; an `Err` aborts the run.
 pub type CheckpointWriter<'h> = dyn FnMut(&FdCheckpoint) -> Result<(), String> + 'h;
@@ -280,10 +250,11 @@ pub type CheckpointWriter<'h> = dyn FnMut(&FdCheckpoint) -> Result<(), String> +
 pub struct FdRunOpts<'h> {
     /// Cooperative stop conditions (default: run to convergence).
     pub budget: RunBudget,
-    /// Resume from a checkpoint instead of starting fresh. The caller
-    /// must have restored the checkpoint's coordinates into the
-    /// placement; energies and counters are seeded from here.
-    pub resume: Option<FdResume>,
+    /// Resume from a checkpoint instead of starting fresh: the run
+    /// restores the checkpoint's coordinates into the placement (which
+    /// must be over the checkpoint's mesh and cluster count) and seeds
+    /// its counters and initial energy from it.
+    pub resume: Option<FdCheckpoint>,
     /// Flush a checkpoint every N completed sweeps (in addition to the
     /// flush on every budgeted stop). Must be positive; ignored without
     /// [`FdRunOpts::on_checkpoint`].
@@ -550,9 +521,10 @@ fn collect_queue(
 ///   it is rejected, so every intermediate placement stays
 ///   capacity-feasible, bit-identically for every thread count.
 ///
-/// `opts` carries the cooperative [`RunBudget`], checkpoint/resume, a
-/// region restriction and the sim-in-the-loop hook
-/// (`FdRunOpts::default()` runs to convergence). Whatever stops the run —
+/// `opts` carries the cooperative [`RunBudget`] (the run's only stop
+/// conditions), checkpoint/resume, a region restriction and the
+/// sim-in-the-loop hook (`FdRunOpts::default()` runs to convergence).
+/// Whatever stops the run —
 /// convergence, deadline, sweep cap or cancellation — the placement left
 /// in `placement` is complete, valid and no worse (in system energy) than
 /// the input: budget expiry is an anytime outcome tagged in
@@ -572,8 +544,10 @@ fn collect_queue(
 /// [`HwError::FaultyCore`] (wrapped in [`CoreError::Hw`]) if the input
 /// placement already occupies a dead core; [`CoreError::InvalidLambda`]
 /// for λ outside `(0, 1]`; [`CoreError::InvalidRunOpts`] for inconsistent
-/// options (zero `checkpoint_every`, a wrong region length, a board over
-/// another mesh); [`CoreError::CheckpointFailed`]
+/// options (zero `checkpoint_every`, a wrong region length, a board or a
+/// resume checkpoint over another mesh, a checkpoint of another cluster
+/// count); [`CoreError::Hw`] when a resume checkpoint's coordinates
+/// collide or leave its mesh; [`CoreError::CheckpointFailed`]
 /// when the checkpoint writer fails; and [`CoreError::WorkerPanicked`]
 /// when a parallel worker panics (the checkpoint writer is invoked
 /// best-effort first; the placement is left untouched).
@@ -638,6 +612,20 @@ pub fn force_directed<S: TraceSink + ?Sized>(
         }
     }
     let FdRunOpts { budget, resume, checkpoint_every, on_checkpoint, region, reweighter } = opts;
+    if let Some(cp) = resume.as_ref() {
+        if cp.mesh != placement.mesh() || cp.coords.len() != placement.len() as usize {
+            return Err(CoreError::InvalidRunOpts {
+                message: format!(
+                    "checkpoint covers {} clusters on {} but the placement has {} on {}",
+                    cp.coords.len(),
+                    cp.mesh,
+                    placement.len(),
+                    placement.mesh()
+                ),
+            });
+        }
+        placement.set_coords(&cp.coords)?;
+    }
     let threads = par::resolve_threads(config.threads);
     let mut engine = Engine::new(
         pcn,
@@ -674,15 +662,13 @@ pub fn force_directed<S: TraceSink + ?Sized>(
         },
     };
     // Naive tension can oscillate (it may accept energy-increasing
-    // swaps), so cap its iterations unless the caller already did. A
+    // swaps), so cap its sweeps unless the caller already did. A
     // reweighting run is capped for the same reason: each reweight
     // changes the potential landscape, so the monotone-descent finiteness
     // argument only holds between reweights.
-    let max_iterations = match (config.tension_mode, config.max_iterations) {
-        (TensionMode::PaperNaive, None) => Some(1_000),
-        (_, None) if config.reweight_every.is_some() => Some(1_000),
-        (_, cap) => cap,
-    };
+    let uncapped_may_cycle =
+        config.tension_mode == TensionMode::PaperNaive || config.reweight_every.is_some();
+    let max_sweeps = budget.max_sweeps.or(uncapped_may_cycle.then_some(1_000));
     // The `par` record reports this run's own helper calls: the run's
     // parallel phases are all invoked from this thread, so the
     // thread-local counters exclude concurrent runs in the same process.
@@ -693,9 +679,9 @@ pub fn force_directed<S: TraceSink + ?Sized>(
             tension: format!("{:?}", config.tension_mode),
             objective: config.objective.label().to_owned(),
             lambda: config.lambda,
-            max_iterations,
-            time_budget_ms: config
-                .time_budget
+            max_iterations: max_sweeps,
+            time_budget_ms: budget
+                .deadline
                 .map(|b| u64::try_from(b.as_millis()).unwrap_or(u64::MAX)),
             threads,
             masked: faults.is_some(),
@@ -760,27 +746,13 @@ pub fn force_directed<S: TraceSink + ?Sized>(
     // this invocation only.
     let mut stop = StopReason::Converged;
     while !queue.is_empty() {
-        if let Some(cap) = max_iterations {
-            if iterations >= cap {
-                stop = StopReason::SweepCapReached;
-                break;
-            }
-        }
-        if let Some(cap) = budget.max_sweeps {
-            if iterations >= cap {
-                stop = StopReason::SweepCapReached;
-                break;
-            }
+        if max_sweeps.is_some_and(|cap| iterations >= cap) {
+            stop = StopReason::SweepCapReached;
+            break;
         }
         if budget.cancel.as_ref().is_some_and(|c| c.load(Relaxed)) {
             stop = StopReason::Cancelled;
             break;
-        }
-        if let Some(limit) = config.time_budget {
-            if start.elapsed() >= limit {
-                stop = StopReason::DeadlineExpired;
-                break;
-            }
         }
         if let Some(limit) = budget.deadline {
             if start.elapsed() >= limit {
@@ -1963,6 +1935,18 @@ mod tests {
         force_directed(pcn, p, cfg, None, None, &mut FdRunOpts::default(), &mut NoopSink)
     }
 
+    /// [`fd`] stopped after at most `sweeps` sweeps.
+    fn fd_capped(
+        pcn: &Pcn,
+        p: &mut Placement,
+        cfg: &FdConfig,
+        sweeps: u64,
+    ) -> Result<FdStats, CoreError> {
+        let budget = RunBudget { max_sweeps: Some(sweeps), ..RunBudget::default() };
+        let mut opts = FdRunOpts { budget, ..FdRunOpts::default() };
+        force_directed(pcn, p, cfg, None, None, &mut opts, &mut NoopSink)
+    }
+
     fn small_pcn() -> Pcn {
         random_pcn(64, 4.0, 42).unwrap()
     }
@@ -2359,8 +2343,8 @@ mod tests {
             let pcn = b.build().unwrap();
             for pot in POTENTIALS {
                 let mut p = random_placement(&pcn, mesh, 3, None).unwrap();
-                let cfg = FdConfig { potential: pot, max_iterations: Some(5), ..FdConfig::default() };
-                let stats = fd(&pcn, &mut p, &cfg).unwrap();
+                let cfg = FdConfig { potential: pot, ..FdConfig::default() };
+                let stats = fd_capped(&pcn, &mut p, &cfg, 5).unwrap();
                 assert!(stats.final_energy.is_finite(), "{name} {pot:?}");
                 if name == "all-zero" {
                     assert_eq!(stats.swaps, 0, "{name} {pot:?}");
@@ -2539,8 +2523,7 @@ mod tests {
         let pcn = small_pcn();
         let mesh = Mesh::new(8, 8).unwrap();
         let mut p = random_placement(&pcn, mesh, 11, None).unwrap();
-        let cfg = FdConfig { max_iterations: Some(1), ..FdConfig::default() };
-        let stats = fd(&pcn, &mut p, &cfg).unwrap();
+        let stats = fd_capped(&pcn, &mut p, &FdConfig::default(), 1).unwrap();
         assert_eq!(stats.iterations, 1);
     }
 
@@ -2757,12 +2740,8 @@ mod tests {
         // the uninterrupted one exactly.
         let budget = RunBudget { max_sweeps: Some(2), ..RunBudget::default() };
         let mut resumed = base.clone();
-        resumed.set_coords(&cp.coords).unwrap();
-        let mut ropts = FdRunOpts {
-            budget: budget.clone(),
-            resume: Some(FdResume::from_checkpoint(&cp)),
-            ..FdRunOpts::default()
-        };
+        let mut ropts =
+            FdRunOpts { budget: budget.clone(), resume: Some(cp), ..FdRunOpts::default() };
         let rs = force_directed(&pcn, &mut resumed, &cfg, None, None, &mut ropts, &mut NoopSink)
             .unwrap();
         let mut plain = base.clone();

@@ -4,7 +4,7 @@ mod engine;
 pub(crate) mod potential;
 
 pub use engine::{
-    force_directed, CheckpointWriter, FdCheckpoint, FdConfig, FdResume, FdRunOpts, FdStats,
+    force_directed, CheckpointWriter, FdCheckpoint, FdConfig, FdRunOpts, FdStats,
     RunBudget, StopReason, TensionMode,
 };
 pub use potential::Potential;

@@ -60,7 +60,7 @@ mod validate;
 pub use coarsen::{coarsen, CoarseLevel, CoarsenConfig};
 pub use error::CoreError;
 pub use fd::{
-    force_directed, CheckpointWriter, FdCheckpoint, FdConfig, FdResume, FdRunOpts, FdStats,
+    force_directed, CheckpointWriter, FdCheckpoint, FdConfig, FdRunOpts, FdStats,
     Potential, RunBudget, StopReason, TensionMode,
 };
 pub use hsc::{hsc_placement, hsc_placement_board, random_placement, sequence_placement};

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use snnmap_core::{
-    force_directed, hsc_placement, random_placement, CoreError, FdConfig, FdRunOpts,
+    force_directed, hsc_placement, random_placement, CoreError, FdConfig, FdRunOpts, RunBudget,
 };
 use snnmap_hw::{FaultInjector, FaultMap, FaultPattern, Mesh, Placement};
 use snnmap_model::generators::random_pcn;
@@ -111,8 +111,9 @@ proptest! {
         let n = ((healthy * 3 / 4) as u32).max(4);
         let pcn = random_pcn(n, 2.0, seed).unwrap();
         let mut p = hsc_placement(&pcn, mesh, Some(&fm), 1).unwrap();
-        let config = FdConfig { max_iterations: Some(25), ..FdConfig::default() };
-        let mut opts = FdRunOpts::default();
+        let config = FdConfig::default();
+        let budget = RunBudget { max_sweeps: Some(25), ..RunBudget::default() };
+        let mut opts = FdRunOpts { budget, ..FdRunOpts::default() };
         let stats =
             force_directed(&pcn, &mut p, &config, Some(&fm), None, &mut opts, &mut NoopSink)
                 .unwrap();

@@ -332,8 +332,10 @@ proptest! {
         let pcn = inst.pcn();
         let hw = inst.hardware();
         // A rare instance packs its large clusters onto too few cores;
-        // it has no feasible start and nothing to compare.
-        let Some(start) = feasible_placement(&pcn, &hw, inst.seed) else { return Ok(()) };
+        // it has no feasible start and is redrawn.
+        let Some(start) = feasible_placement(&pcn, &hw, inst.seed) else {
+            return Err(TestCaseError::reject("no feasible start"));
+        };
         for potential in POTENTIALS {
             let (want, (sweeps, swaps)) = reference(&pcn, &hw, &start, potential, inst.lambda);
             let (got, stats) = engine(&pcn, &hw, &start, potential, inst.lambda);

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use snnmap_core::{
     force_directed, hsc_placement, CoreError, FdConfig, FdRunOpts, FdStats, IncrementalCongestion,
-    Objective, Potential,
+    Objective, Potential, RunBudget,
 };
 use snnmap_hw::{CostModel, FaultInjector, FaultMap, FaultPattern, Mesh, Placement};
 use snnmap_model::generators::random_pcn;
@@ -17,9 +17,20 @@ use snnmap_trace::{JsonlSink, NoopSink};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// FD with no hardware restriction, run options or tracing.
-fn fd(pcn: &Pcn, p: &mut Placement, cfg: &FdConfig) -> Result<FdStats, CoreError> {
-    force_directed(pcn, p, cfg, None, None, &mut FdRunOpts::default(), &mut NoopSink)
+/// Run options that stop FD after `cap` sweeps (`None`: at convergence).
+fn capped(cap: Option<u64>) -> FdRunOpts<'static> {
+    let budget = RunBudget { max_sweeps: cap, ..RunBudget::default() };
+    FdRunOpts { budget, ..FdRunOpts::default() }
+}
+
+/// FD with no hardware restriction or tracing, stopped after `cap` sweeps.
+fn fd(
+    pcn: &Pcn,
+    p: &mut Placement,
+    cfg: &FdConfig,
+    cap: Option<u64>,
+) -> Result<FdStats, CoreError> {
+    force_directed(pcn, p, cfg, None, None, &mut capped(cap), &mut NoopSink)
 }
 
 /// Bitwise comparison of two stats records: `PartialEq` on the floats
@@ -83,14 +94,10 @@ proptest! {
                 "initial placement diverged at threads={}",
                 threads
             );
-            let cfg = FdConfig {
-                potential: potential_from(pot_idx),
-                max_iterations: cap,
-                threads,
-                ..FdConfig::default()
-            };
+            let potential = potential_from(pot_idx);
+            let cfg = FdConfig { potential, threads, ..FdConfig::default() };
             let mut p = init.clone();
-            let stats = fd(&pcn, &mut p, &cfg).unwrap();
+            let stats = fd(&pcn, &mut p, &cfg, cap).unwrap();
             match &reference {
                 None => reference = Some((p, stats)),
                 Some((rp, rs)) => {
@@ -131,9 +138,9 @@ proptest! {
                 "masked initial placement diverged at threads={}",
                 threads
             );
-            let cfg = FdConfig { max_iterations: cap, threads, ..FdConfig::default() };
+            let cfg = FdConfig { threads, ..FdConfig::default() };
             let mut p = init.clone();
-            let mut opts = FdRunOpts::default();
+            let mut opts = capped(cap);
             let stats =
                 force_directed(&pcn, &mut p, &cfg, Some(&fm), None, &mut opts, &mut NoopSink)
                     .unwrap();
@@ -224,15 +231,10 @@ proptest! {
         let init = hsc_placement(&pcn, mesh, None, 1).unwrap();
         let mut reference = None;
         for threads in THREADS {
-            let cfg = FdConfig {
-                objective,
-                max_iterations: Some(10),
-                threads,
-                ..FdConfig::default()
-            };
+            let cfg = FdConfig { objective, threads, ..FdConfig::default() };
             let mut p = init.clone();
             let mut sink = JsonlSink::new(Vec::new()).with_timing(false);
-            let mut opts = FdRunOpts::default();
+            let mut opts = capped(Some(10));
             let stats =
                 force_directed(&pcn, &mut p, &cfg, None, None, &mut opts, &mut sink).unwrap();
             let trace = String::from_utf8(sink.finish().unwrap()).unwrap();
@@ -304,12 +306,11 @@ fn hookless_reweighting_is_thread_count_invariant() {
         let cfg = FdConfig {
             objective: Objective::Congestion { lambda_c: 2.0 },
             reweight_every: Some(3),
-            max_iterations: Some(12),
             threads,
             ..FdConfig::default()
         };
         let mut p = init.clone();
-        let stats = fd(&pcn, &mut p, &cfg).unwrap();
+        let stats = fd(&pcn, &mut p, &cfg, Some(12)).unwrap();
         match &reference {
             None => reference = Some((p, stats)),
             Some((rp, rs)) => {
@@ -343,14 +344,9 @@ fn every_kernel_is_thread_count_invariant() {
     ] {
         let mut reference = None;
         for threads in THREADS {
-            let cfg = FdConfig {
-                potential,
-                max_iterations: Some(15),
-                threads,
-                ..FdConfig::default()
-            };
+            let cfg = FdConfig { potential, threads, ..FdConfig::default() };
             let mut p = init.clone();
-            let stats = fd(&pcn, &mut p, &cfg).unwrap();
+            let stats = fd(&pcn, &mut p, &cfg, Some(15)).unwrap();
             match &reference {
                 None => reference = Some((p, stats)),
                 Some((rp, rs)) => {
@@ -379,7 +375,7 @@ fn full_convergence_is_thread_count_invariant() {
     for threads in THREADS {
         let cfg = FdConfig { threads, ..FdConfig::default() };
         let mut p = init.clone();
-        let stats = fd(&pcn, &mut p, &cfg).unwrap();
+        let stats = fd(&pcn, &mut p, &cfg, None).unwrap();
         assert!(stats.converged, "threads={threads} failed to converge");
         match &reference {
             None => reference = Some((p, stats)),

@@ -537,6 +537,7 @@ fn execute_job(shared: &Shared, job: &Job) {
             max_sweeps: spec.max_sweeps,
             cancel: Some(Arc::clone(&job.cancel)),
         },
+        resume: resume_from,
         checkpoint_every: (spec.checkpoint_every > 0).then_some(spec.checkpoint_every),
         ..FdRunOpts::default()
     };
@@ -552,10 +553,7 @@ fn execute_job(shared: &Shared, job: &Job) {
     }
 
     let mut sink = ProgressSink::new(Arc::clone(&job.progress));
-    let result = match &resume_from {
-        Some(cp) => mapper.resume_traced(&spec.pcn, cp, &mut run_opts, &mut sink),
-        None => mapper.map_budgeted_traced(&spec.pcn, spec.mesh, &mut run_opts, &mut sink),
-    };
+    let result = mapper.map_budgeted_traced(&spec.pcn, spec.mesh, &mut run_opts, &mut sink);
 
     match result {
         Ok(outcome) => {

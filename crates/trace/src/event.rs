@@ -50,9 +50,13 @@ pub struct FdConfigEvent {
     pub objective: String,
     /// Queue fraction λ.
     pub lambda: f64,
-    /// Iteration cap, if any.
+    /// Sweep cap the run obeys, if any: the request's
+    /// `RunBudget::max_sweeps` (already tightened by the mapper's own
+    /// cap), or the implicit 1,000 of a naive or reweighting run without
+    /// one.
     pub max_iterations: Option<u64>,
-    /// Wall-clock budget in milliseconds, if any.
+    /// Wall-clock deadline the run obeys (`RunBudget::deadline`) in
+    /// milliseconds, if any.
     pub time_budget_ms: Option<u64>,
     /// Resolved worker-thread count.
     pub threads: usize,
