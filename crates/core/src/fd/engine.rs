@@ -1326,7 +1326,9 @@ impl<'a> Engine<'a> {
         {
             let eng = &engine;
             with_kernel!(potential, k => {
-                par::try_par_init(threads, &mut hot, |c| eng.init_hot(k, c as u32))
+                par::try_par_update_tuned(threads, &mut par::Tuner::new(), &mut hot, |c, h| {
+                    *h = eng.init_hot(k, c as u32);
+                })
             })
             .map_err(|p| CoreError::WorkerPanicked { message: p.message().to_owned() })?;
         }
@@ -1500,9 +1502,15 @@ impl<'a> Engine<'a> {
     /// [`Engine::try_system_energy`] forced onto the serial path
     /// (identical bits — the block boundaries don't change) for recovery
     /// code that must not re-enter the parallel helpers.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from the energy kernel: the serial path runs on
+    /// the calling thread, so there is no worker to isolate.
     fn system_energy_serial(&self) -> f64 {
         let n = self.pcn.num_clusters() as usize;
-        par::par_block_sum(1, n, ENERGY_BLOCK, |range| self.energy_block(range))
+        par::try_par_block_sum(1, n, ENERGY_BLOCK, |range| self.energy_block(range))
+            .unwrap_or_else(|p| panic!("{p}"))
     }
 
     /// Initial hot record of cluster `c`: its neighbour signature plus

@@ -137,10 +137,11 @@ fn hsc_traversal(
         return curve_traversal(&Hilbert, mesh, faults);
     }
     let mut traversal = vec![Coord::new(0, 0); mesh.len()];
-    par::par_init(threads, &mut traversal, |d| {
+    par::try_par_update_tuned(threads, &mut par::Tuner::new(), &mut traversal, |d, c| {
         let (x, y) = Hilbert::d2xy(side, d as u64);
-        Coord::new(x as u16, y as u16)
-    });
+        *c = Coord::new(x as u16, y as u16);
+    })
+    .map_err(|p| CoreError::WorkerPanicked { message: p.message().to_owned() })?;
     Ok(match faults {
         Some(fm) => traversal.into_iter().filter(|&c| !fm.is_dead(c)).collect(),
         None => traversal,
@@ -166,7 +167,8 @@ fn hsc_traversal(
 /// # Errors
 ///
 /// [`CoreError::MeshTooSmall`] if the PCN outnumbers the cores;
-/// [`CoreError::InsufficientCores`] if it outnumbers the healthy cores.
+/// [`CoreError::InsufficientCores`] if it outnumbers the healthy cores;
+/// [`CoreError::WorkerPanicked`] if a parallel traversal worker panicked.
 ///
 /// # Examples
 ///
@@ -320,6 +322,22 @@ mod tests {
             b.add_edge(i, i + 1, 1.0).unwrap();
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn a_panicking_traversal_worker_is_a_typed_error() {
+        // 4,096 cells at 2 threads make two chunks of 2,048, so the
+        // traversal fans out and the second chunk's worker panics.
+        let pcn = chain_pcn(100);
+        par::hooks::fail_after(0);
+        let result = hsc_placement(&pcn, Mesh::new(64, 64).unwrap(), None, 2);
+        par::hooks::disarm();
+        match result {
+            Err(CoreError::WorkerPanicked { message }) => {
+                assert_eq!(message, par::hooks::INJECTED_PANIC);
+            }
+            other => panic!("expected a typed worker panic, got {other:?}"),
+        }
     }
 
     #[test]

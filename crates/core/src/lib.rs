@@ -49,6 +49,7 @@
 mod coarsen;
 mod error;
 mod fd;
+mod free_cells;
 mod hsc;
 mod mapper;
 mod multilevel;

@@ -511,9 +511,11 @@ pub(crate) fn tighter<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
     a.into_iter().chain(b).min()
 }
 
-/// The cores within Manhattan distance `radius` of any seed: each seed's
-/// ball, clipped to the mesh, is painted row by row, in O(seeds × radius²).
-fn dirty_region(mesh: Mesh, seeds: &[Coord], radius: u16) -> Vec<bool> {
+/// The cores within Manhattan distance `radius` of any seed, as a region
+/// mask for [`FdRunOpts::region`] (an incremental repair's dirty region,
+/// a multilevel rung's halo): each seed's ball, clipped to the mesh, is
+/// painted row by row, in O(seeds × radius²).
+pub(crate) fn dirty_region(mesh: Mesh, seeds: &[Coord], radius: u16) -> Vec<bool> {
     let (rows, cols, r) = (i32::from(mesh.rows()), i32::from(mesh.cols()), i32::from(radius));
     let mut region = vec![false; mesh.len()];
     for s in seeds {

@@ -12,11 +12,11 @@
 //!    convergence (cheap — the graph is tiny),
 //! 3. **uncoarsens** level by level: each finer level seeds its placement
 //!    from its parent's (scaled anchors + deterministic nearest-free-cell
-//!    lookup, [`FreeCells`]) and runs a *budgeted, region-masked* FD pass
-//!    — the same machinery as
-//!    [`crate::Mapper::repair_incremental_traced`] — over the halo
-//!    of the cells the projection had to displace, so refinement touches
-//!    only locally-dirty neighbourhoods.
+//!    lookup in [`FreeCells`], the index repair evicts into) and runs a
+//!    *budgeted, region-masked* FD pass — the same machinery and the same
+//!    [`dirty_region`] mask as [`crate::Mapper::repair_incremental_traced`]
+//!    — over the halo of the cells the projection had to displace, so
+//!    refinement touches only locally-dirty neighbourhoods.
 //!
 //! Every stage is deterministic and thread-count independent: coarsening
 //! and projection are sequential scans in cluster order, and the HSC/FD
@@ -33,7 +33,8 @@ use snnmap_trace::{time_phase, TraceSink};
 use crate::coarsen::{coarsen, CoarsenConfig};
 use crate::fd::force_directed;
 use crate::hsc::check_capacity;
-use crate::mapper::{tighter, MapOutcome};
+use crate::free_cells::FreeCells;
+use crate::mapper::{dirty_region, tighter, MapOutcome};
 use crate::{toposort, CoreError, FdRunOpts, Mapper, RunBudget};
 
 /// Tuning knobs for the multilevel pipeline
@@ -172,7 +173,7 @@ pub(crate) fn multilevel_map_impl<S: TraceSink + ?Sized>(
             )?;
         } else {
             // Intermediate rung: budgeted FD over the dirty halo only.
-            let region = halo_region(m, &dirty, ml.halo);
+            let region = dirty_region(m, &dirty, ml.halo);
             if region.iter().any(|&a| a) {
                 let mut level_opts = FdRunOpts {
                     budget: RunBudget {
@@ -244,8 +245,8 @@ fn project_level(
         cursor[p as usize] += 1;
     }
 
-    let mut free = FreeCells::new(fine_mesh, faults);
     let mut placement = crate::hsc::fresh_placement(fine_mesh, fine_n, faults)?;
+    let mut free = FreeCells::new(&placement, faults);
     let mut dirty: Vec<Coord> = Vec::new();
     for g in 0..coarse_n {
         let pc = parent.coord_of(g).ok_or(CoreError::IncompletePlacement {
@@ -263,7 +264,7 @@ fn project_level(
         let anchor = Coord::new(ax as u16, ay as u16);
         let (lo, hi) = (offsets[g as usize] as usize, offsets[g as usize + 1] as usize);
         for &f in &children[lo..hi] {
-            let cell = free.take_nearest(anchor);
+            let cell = free.take_nearest(anchor, |_| true).expect("capacity is checked first");
             placement.place(f, cell)?;
             let (cx, cy) = (u32::from(cell.x), u32::from(cell.y));
             if cx < ax || cx >= bx || cy < ay || cy >= by {
@@ -274,133 +275,10 @@ fn project_level(
     Ok((placement, dirty))
 }
 
-/// The free (healthy, unoccupied) cells of a mesh as one `u64` bitset per
-/// row (bit `y` of row `x` is set while cell `(x, y)` is free), with exact
-/// nearest-by-Manhattan queries. Ties break on smallest distance, then
-/// smallest row, then smallest column — a total order, so the choice is
-/// deterministic. A query walks rows outward from the anchor and prunes as
-/// soon as the row offset alone exceeds the best distance found. Within a
-/// row, the nearest free column at or below and at or above the anchor are
-/// word scans bounded by the distance still able to beat the best: about
-/// `d / 32` words per row visited, which matters at the ~92%-occupied
-/// finest level where spilled children search tens of cells out.
-struct FreeCells {
-    cols: usize,
-    /// `u64` words per row.
-    words: usize,
-    /// Row-major: row `x` is `bits[x * words..(x + 1) * words]`.
-    bits: Vec<u64>,
-}
-
-impl FreeCells {
-    fn new(mesh: Mesh, faults: Option<&FaultMap>) -> Self {
-        let (rows, cols) = (usize::from(mesh.rows()), usize::from(mesh.cols()));
-        let words = cols.div_ceil(64);
-        let row: Vec<u64> =
-            (0..words).map(|w| u64::MAX >> (64 - (cols - 64 * w).min(64))).collect();
-        let mut free = Self { cols, words, bits: row.repeat(rows) };
-        if let Some(fm) = faults {
-            for c in mesh.iter().filter(|&c| fm.is_dead(c)) {
-                free.clear(c.x, c.y);
-            }
-        }
-        free
-    }
-
-    fn clear(&mut self, x: u16, y: u16) {
-        let y = usize::from(y);
-        self.bits[usize::from(x) * self.words + y / 64] &= !(1u64 << (y % 64));
-    }
-
-    /// Removes and returns the free cell nearest to `anchor`. Capacity
-    /// is checked by the caller, so a free cell always exists.
-    fn take_nearest(&mut self, anchor: Coord) -> Coord {
-        let ax = i32::from(anchor.x);
-        let ay = usize::from(anchor.y);
-        debug_assert!(ay < self.cols);
-        let rows = (self.bits.len() / self.words) as i32;
-        let mut best: Option<(i32, u16, u16)> = None;
-        for ddx in 0..rows {
-            if best.is_some_and(|(d, _, _)| ddx > d) {
-                break;
-            }
-            for x in [ax - ddx, ax + ddx] {
-                if x < 0 || x >= rows {
-                    continue;
-                }
-                // Columns farther out than `reach` cannot beat `best`.
-                let reach = best.map_or(self.cols, |(d, _, _)| (d - ddx) as usize);
-                let row = &self.bits[x as usize * self.words..][..self.words];
-                let below = last_set(row, ay.saturating_sub(reach), ay);
-                let above = first_set(row, ay, (ay + reach).min(self.cols - 1));
-                for y in below.into_iter().chain(above) {
-                    let cand = (ddx + y.abs_diff(ay) as i32, x as u16, y as u16);
-                    if best.map_or(true, |b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-                if ddx == 0 {
-                    break; // ax - 0 and ax + 0 are the same row
-                }
-            }
-        }
-        let (_, x, y) = best.expect("caller guarantees a free cell exists");
-        self.clear(x, y);
-        Coord::new(x, y)
-    }
-}
-
-/// The mask of bits `lo..=hi` within word `w` of a row.
-fn span_mask(w: usize, lo: usize, hi: usize) -> u64 {
-    let low = if w == lo / 64 { u64::MAX << (lo % 64) } else { u64::MAX };
-    let high = if w == hi / 64 { u64::MAX >> (63 - hi % 64) } else { u64::MAX };
-    low & high
-}
-
-/// The highest set bit of `row` in `lo..=hi`.
-fn last_set(row: &[u64], lo: usize, hi: usize) -> Option<usize> {
-    (lo / 64..=hi / 64).rev().find_map(|w| {
-        let word = row[w] & span_mask(w, lo, hi);
-        (word != 0).then(|| 64 * w + 63 - word.leading_zeros() as usize)
-    })
-}
-
-/// The lowest set bit of `row` in `lo..=hi`.
-fn first_set(row: &[u64], lo: usize, hi: usize) -> Option<usize> {
-    (lo / 64..=hi / 64).find_map(|w| {
-        let word = row[w] & span_mask(w, lo, hi);
-        (word != 0).then(|| 64 * w + word.trailing_zeros() as usize)
-    })
-}
-
-/// The union of Manhattan balls of radius `halo` around `seeds`, as a
-/// region mask for [`FdRunOpts::region`].
-fn halo_region(mesh: Mesh, seeds: &[Coord], halo: u16) -> Vec<bool> {
-    let mut region = vec![false; mesh.len()];
-    let (rows, cols) = (i32::from(mesh.rows()), i32::from(mesh.cols()));
-    let h = i32::from(halo);
-    for &s in seeds {
-        for dx in -h..=h {
-            let x = i32::from(s.x) + dx;
-            if x < 0 || x >= rows {
-                continue;
-            }
-            let rem = h - dx.abs();
-            for dy in -rem..=rem {
-                let y = i32::from(s.y) + dy;
-                if y < 0 || y >= cols {
-                    continue;
-                }
-                region[mesh.index_of(Coord::new(x as u16, y as u16))] = true;
-            }
-        }
-    }
-    region
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::free_cells::tests::{nearest_by_scan, random_faults};
     use crate::{InitialPlacement, Mapper};
     use snnmap_hw::CostModel;
     use snnmap_metrics::evaluate;
@@ -438,74 +316,8 @@ mod tests {
         assert_eq!((m.rows(), m.cols()), (8, 32));
     }
 
-    #[test]
-    fn take_nearest_prefers_the_anchor_then_expands_deterministically() {
-        let mesh = Mesh::new(4, 4).unwrap();
-        let mut free = FreeCells::new(mesh, None);
-        let a = Coord::new(1, 1);
-        assert_eq!(free.take_nearest(a), a);
-        // The d=1 ring in (distance, row, column) order.
-        assert_eq!(free.take_nearest(a), Coord::new(0, 1));
-        assert_eq!(free.take_nearest(a), Coord::new(1, 0));
-        assert_eq!(free.take_nearest(a), Coord::new(1, 2));
-        assert_eq!(free.take_nearest(a), Coord::new(2, 1));
-        // d=2: (0,0) wins on row before (0,2) wins on column.
-        assert_eq!(free.take_nearest(a), Coord::new(0, 0));
-        assert_eq!(free.take_nearest(a), Coord::new(0, 2));
-    }
-
-    /// The reference choice: the free cell with the smallest `(distance,
-    /// row, column)`, by scanning every cell.
-    fn nearest_by_scan(mesh: Mesh, free: &[bool], anchor: Coord) -> Coord {
-        mesh.iter()
-            .filter(|&c| free[mesh.index_of(c)])
-            .min_by_key(|&c| (c.manhattan(anchor), c.x, c.y))
-            .expect("a free cell exists")
-    }
-
-    /// A fault map killing each cell of `mesh` with probability `rate`,
-    /// keeping at least `keep` cells alive.
-    fn random_faults(mesh: Mesh, rate: f64, keep: usize, rng: &mut ChaCha8Rng) -> FaultMap {
-        let mut fm = FaultMap::new(mesh);
-        for c in mesh.iter() {
-            if fm.healthy_cores() > keep && rng.gen_bool(rate) {
-                fm.kill_core(c).unwrap();
-            }
-        }
-        fm
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn take_nearest_matches_a_brute_force_scan(
-            rows in 1u16..6,
-            col_pick in 0usize..5,
-            rate_pick in 0usize..3,
-            seed in any::<u64>(),
-        ) {
-            // Column counts around the 64-bit word edges.
-            let cols = [1u16, 63, 64, 65, 130][col_pick];
-            let dead_rate = [0.0, 0.1, 0.5][rate_pick];
-            let mesh = Mesh::new(rows, cols).unwrap();
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let fm = random_faults(mesh, dead_rate, 1, &mut rng);
-            let faults = (fm.num_dead_cores() > 0).then_some(&fm);
-            let mut free: Vec<bool> = mesh.iter().map(|c| !fm.is_dead(c)).collect();
-            let mut cells = FreeCells::new(mesh, faults);
-            // Take every free cell; half the anchors repeat the previous
-            // one, so later takes spill far from a crowded anchor.
-            let mut anchor = Coord::new(0, 0);
-            for _ in 0..fm.healthy_cores() {
-                if rng.gen_bool(0.5) {
-                    anchor = Coord::new(rng.gen_range(0..rows), rng.gen_range(0..cols));
-                }
-                let expect = nearest_by_scan(mesh, &free, anchor);
-                prop_assert_eq!(cells.take_nearest(anchor), expect, "anchor {}", anchor);
-                free[mesh.index_of(expect)] = false;
-            }
-        }
 
         #[test]
         fn project_level_places_every_child_on_the_brute_force_choice(
@@ -546,7 +358,7 @@ mod tests {
                     (u32::from(pc.y) * cols_f / u32::from(parent_cols)) as u16,
                 );
                 for f in (0..fine_n).filter(|&f| parent_of[f as usize] == g) {
-                    let expect = nearest_by_scan(fine_mesh, &free, anchor);
+                    let expect = nearest_by_scan(fine_mesh, &free, anchor, |_| true).unwrap();
                     prop_assert_eq!(placement.coord_of(f), Some(expect), "child {} of {}", f, g);
                     free[fine_mesh.index_of(expect)] = false;
                 }

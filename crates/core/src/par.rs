@@ -1,61 +1,62 @@
 //! Scoped-thread data-parallel helpers.
 //!
 //! The build environment has no access to crates.io, so instead of rayon
-//! this module provides the four primitives the mapping pipeline needs,
+//! this module provides the three primitives the mapping pipeline needs,
 //! built on [`std::thread::scope`]:
 //!
-//! * [`par_init`] / [`try_par_init`] — fill a slice element-wise from a
-//!   pure index function;
-//! * [`try_par_update_tuned`] — mutate a slice element-wise in place;
+//! * [`try_par_update_tuned`] — mutate a slice element-wise in place (a
+//!   fill from an index is an update that ignores the old value);
 //! * [`try_par_flat_map_tuned`] — map an index range through a collector
 //!   and concatenate the per-chunk results in index order;
-//! * [`par_block_sum`] / [`try_par_block_sum`] — reduce an index range to
-//!   an `f64` in *fixed-size blocks* whose partial sums are combined in
-//!   block order.
+//! * [`try_par_block_sum`] — reduce an index range to an `f64` in
+//!   *fixed-size blocks* whose partial sums are combined in block order.
 //!
-//! All of them produce **bit-identical results for every thread count**:
-//! work is split into contiguous index ranges processed left to right,
-//! per-element computations are pure, and every merge happens in
-//! deterministic index (or block) order. Floating-point reductions never
-//! depend on how many workers ran — [`par_block_sum`] fixes the block
-//! boundaries independently of the thread count, so the rounding of each
-//! partial sum is reproducible. This is what lets the Force-Directed
-//! engine guarantee byte-identical placements for `threads = 1, 2, 4, …`.
+//! All three sit on one private fan-out: it splits the work into
+//! contiguous chunks, runs chunk 0 on the calling thread and every other
+//! chunk on a scoped worker, and joins the results in chunk order.
+//! Results are **bit-identical for every thread count**: chunks are
+//! processed left to right, per-element computations are pure, and every
+//! merge happens in deterministic index (or block) order. Floating-point
+//! reductions never depend on how many workers ran — [`try_par_block_sum`]
+//! fixes the block boundaries independently of the thread count, so the
+//! rounding of each partial sum is reproducible. This is what lets the
+//! Force-Directed engine guarantee byte-identical placements for
+//! `threads = 1, 2, 4, …`.
 //!
 //! Threads are spawned per call (scoped, borrowing the caller's data) and
-//! joined before returning; small inputs fall back to the serial path so
-//! the spawn cost is only paid where it can be amortized. The serial
+//! joined before returning; small inputs run inline on the calling thread
+//! so the spawn cost is only paid where it can be amortized. The serial
 //! cutoff is a fixed floor (`MIN_ITEMS_PER_THREAD`, 2048 items per extra
-//! worker) for [`par_init`] and [`par_block_sum`], or a *measured* one
-//! for the `*_tuned` helpers: a [`Tuner`] turns observed items/µs
-//! throughput into the smallest batch that still amortizes a spawn, so
-//! expensive per-item work fans out sooner and cheap scans don't drown
-//! in spawn overhead.
+//! worker) for [`try_par_block_sum`], and a *measured* one for the
+//! `*_tuned` helpers: a [`Tuner`] turns observed items/µs throughput into
+//! the smallest batch that still amortizes a spawn, so expensive per-item
+//! work fans out sooner and cheap scans don't drown in spawn overhead. A
+//! fresh [`Tuner`] starts at the fixed floor.
 //! Tuning only ever moves the serial/parallel cutoff — the *results* are
 //! thread-count independent by construction, so feedback from noisy
 //! clocks cannot perturb a single output bit.
 //!
-//! **Panic isolation**: every chunk body runs under
+//! **Panic isolation**: every chunk runs under
 //! [`std::panic::catch_unwind`], so a panicking closure surfaces as a
-//! typed [`WorkerPanic`] from the `try_*` helpers instead of aborting
-//! the process mid-scope. [`par_init`] and [`par_block_sum`] re-raise
-//! the panic with the original message for callers that treat a
-//! poisoned chunk as a bug.
+//! typed [`WorkerPanic`] instead of aborting the process mid-scope. The
+//! first panic in chunk order wins, so the reported error is the same
+//! for every interleaving.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 /// Work below this many items per *extra* worker is done serially: a
 /// thread spawn costs tens of microseconds, which only pays for itself on
-/// chunks of at least a few thousand cheap items. This is the fixed
-/// fallback floor; the `*_tuned` helper variants replace it with a
-/// [`Tuner`]'s measured one.
+/// chunks of at least a few thousand cheap items. This is the block
+/// sum's floor and an unsampled [`Tuner`]'s; a sampled one replaces it
+/// with a measured floor.
 const MIN_ITEMS_PER_THREAD: usize = 2048;
 
 /// Assumed cost of spawning and joining one scoped worker, in
@@ -109,8 +110,7 @@ fn bump(global: &AtomicU64, n: u64, field: fn(&mut ParCounters) -> &mut u64) {
 ///
 /// Carries the panic message (when the payload was a string, which
 /// `panic!` produces) so callers can surface *why* the chunk was
-/// poisoned. Returned by the `try_*` helper variants; the panic-free
-/// wrappers re-raise it instead.
+/// poisoned. Returned by every helper.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
     message: String,
@@ -141,6 +141,12 @@ impl fmt::Display for WorkerPanic {
 }
 
 impl Error for WorkerPanic {}
+
+/// Counts one helper invocation over a domain of `n` items.
+fn count_call(n: usize) {
+    bump(&CALLS, 1, |c| &mut c.calls);
+    bump(&ITEMS, n as u64, |c| &mut c.items);
+}
 
 /// Test-only fault injection for the panic-isolation path.
 ///
@@ -212,9 +218,8 @@ pub struct ParCounters {
     /// saw; together with `workers_spawned` it says whether fan-outs
     /// carried real work.
     pub items: u64,
-    /// Wall nanoseconds spent inside the *tuned* helper variants (the
-    /// untimed helpers, [`par_init`] and [`par_block_sum`], don't read
-    /// the clock, keeping them zero-overhead).
+    /// Wall nanoseconds spent inside the *tuned* helpers (the untimed
+    /// [`try_par_block_sum`] doesn't read the clock).
     /// `items / busy_ns` is the measured throughput the granularity
     /// tuner steers by.
     pub busy_ns: u64,
@@ -240,14 +245,15 @@ impl ParCounters {
 /// # Examples
 ///
 /// ```
-/// use snnmap_core::par::{counters, par_init};
+/// use snnmap_core::par::{counters, try_par_update_tuned, Tuner};
 ///
 /// let before = counters();
 /// let mut v = vec![0; 10_000];
-/// par_init(2, &mut v, |i| i);
+/// try_par_update_tuned(2, &mut Tuner::new(), &mut v, |i, s| *s = i)?;
 /// assert_eq!(v[9_999], 9_999);
 /// let delta = counters().since(before);
 /// assert_eq!((delta.calls, delta.items), (1, 10_000));
+/// # Ok::<(), snnmap_core::par::WorkerPanic>(())
 /// ```
 pub fn counters() -> ParCounters {
     ParCounters {
@@ -370,17 +376,10 @@ pub fn resolve_threads(requested: usize) -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Caps `threads` so every worker has at least [`MIN_ITEMS_PER_THREAD`]
-/// items, and never exceeds the item count.
+/// Caps `threads` so every worker has at least `min_items` items, and
+/// never exceeds the item count.
 #[inline]
-fn effective_threads(threads: usize, items: usize) -> usize {
-    effective_threads_with(threads, items, MIN_ITEMS_PER_THREAD)
-}
-
-/// [`effective_threads`] with an explicit per-worker work floor (what a
-/// [`Tuner`] supplies).
-#[inline]
-fn effective_threads_with(threads: usize, items: usize, min_items: usize) -> usize {
+fn effective_threads(threads: usize, items: usize, min_items: usize) -> usize {
     let by_work = items / min_items.max(1);
     threads.min(by_work.max(1)).max(1)
 }
@@ -457,178 +456,101 @@ impl Tuner {
     }
 }
 
-/// Fills `out[i] = f(base_of_chunk + i)` across up to `threads` workers.
+/// The one fan-out under every helper: runs `body` on each of `parts`,
+/// part 0 on the calling thread and every other part on its own scoped
+/// worker, and returns the results in part order.
 ///
-/// The slice is split into contiguous chunks, one per worker; chunk `0`
-/// runs on the calling thread so a worker is only spawned when there is a
-/// second chunk. Because `f` is pure per index and every element is
-/// written exactly once, the result is identical for any thread count.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` (see [`try_par_init`] for the typed-error
-/// variant).
-pub fn par_init<T, F>(threads: usize, out: &mut [T], f: F)
+/// Each part runs under [`catch_unwind`], and the first panic in part
+/// order wins, so the reported error is the same for every
+/// interleaving. The injection hook fires in spawned workers only. A
+/// single part runs inline: no spawn and no `parallel_calls` bump.
+fn fan_out<P, R, F>(
+    mut parts: impl ExactSizeIterator<Item = P>,
+    body: F,
+) -> Result<Vec<R>, WorkerPanic>
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    P: Send,
+    R: Send,
+    F: Fn(P) -> R + Sync,
 {
-    if let Err(p) = try_par_init(threads, out, f) {
-        panic!("{p}");
+    let run = |p: P| {
+        catch_unwind(AssertUnwindSafe(|| body(p))).map_err(|e| WorkerPanic::from_payload(&*e))
+    };
+    let Some(first) = parts.next() else { return Ok(Vec::new()) };
+    if parts.len() == 0 {
+        return run(first).map(|r| vec![r]);
     }
-}
-
-/// [`par_init`] with panic isolation: a panicking `f` poisons only its
-/// chunk and surfaces as [`WorkerPanic`]. On error the slice may be
-/// partially (re)written — callers discard it.
-///
-/// # Errors
-///
-/// [`WorkerPanic`] when any chunk's `f` panicked (the first in chunk
-/// order wins).
-pub fn try_par_init<T, F>(threads: usize, out: &mut [T], f: F) -> Result<(), WorkerPanic>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    bump(&CALLS, 1, |c| &mut c.calls);
-    bump(&ITEMS, out.len() as u64, |c| &mut c.items);
-    par_init_inner(effective_threads(threads, out.len()), out, f)
-}
-
-/// [`try_par_init`] without the work-granularity throttle: the caller has
-/// already decided how many workers the job deserves (e.g.
-/// [`par_block_sum`], whose few slots each carry a whole block of work).
-fn par_init_inner<T, F>(threads: usize, out: &mut [T], f: F) -> Result<(), WorkerPanic>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let n = out.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return catch_unwind(AssertUnwindSafe(|| {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = f(i);
-            }
-        }))
-        .map_err(|p| WorkerPanic::from_payload(&*p));
-    }
-    let chunk = n.div_ceil(threads);
-    let f = &f;
     bump(&PARALLEL_CALLS, 1, |c| &mut c.parallel_calls);
     let armed = hooks::armed();
     let hook = armed.as_deref();
+    let body = &body;
     std::thread::scope(|s| {
-        let mut chunks = out.chunks_mut(chunk);
-        let first = chunks.next();
-        let mut handles = Vec::with_capacity(threads - 1);
-        for (k, part) in chunks.enumerate() {
-            let base = (k + 1) * chunk;
-            bump(&WORKERS, 1, |c| &mut c.workers_spawned);
-            handles.push(s.spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    hooks::maybe_inject(hook);
-                    for (j, slot) in part.iter_mut().enumerate() {
-                        *slot = f(base + j);
-                    }
-                }))
-            }));
-        }
-        // First error in chunk order wins, so the reported panic is the
-        // same for every interleaving.
-        let mut result: Result<(), WorkerPanic> = Ok(());
-        if let Some(part) = first {
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                for (j, slot) in part.iter_mut().enumerate() {
-                    *slot = f(j);
-                }
-            })) {
-                result = Err(WorkerPanic::from_payload(&*p));
-            }
-        }
-        for h in handles {
-            // The outer join error covers a panic that escaped the catch
-            // (impossible for unwinding panics, but stay total).
-            if let Err(p) = h.join().and_then(|r| r) {
-                if result.is_ok() {
-                    result = Err(WorkerPanic::from_payload(&*p));
-                }
-            }
-        }
-        result
+        let workers: Vec<_> = parts
+            .map(|p| {
+                bump(&WORKERS, 1, |c| &mut c.workers_spawned);
+                s.spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        hooks::maybe_inject(hook);
+                        body(p)
+                    }))
+                })
+            })
+            .collect();
+        let first = run(first);
+        // The outer join error covers a panic that escaped the catch
+        // (impossible for unwinding panics, but stay total).
+        let rest = workers.into_iter().map(|h| {
+            h.join().and_then(|r| r).map_err(|e| WorkerPanic::from_payload(&*e))
+        });
+        std::iter::once(first).chain(rest).collect()
     })
 }
 
-/// [`try_par_update_tuned`] with the worker count already decided.
-fn par_update_inner<T, F>(threads: usize, data: &mut [T], f: F) -> Result<(), WorkerPanic>
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = data.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return catch_unwind(AssertUnwindSafe(|| {
-            for (i, slot) in data.iter_mut().enumerate() {
-                f(i, slot);
-            }
-        }))
-        .map_err(|p| WorkerPanic::from_payload(&*p));
+/// The contiguous ranges `0..n` splits into for at most `workers`
+/// workers: `ceil(n / workers)` indices each, so the last range may be
+/// shorter and an uneven split may need fewer ranges than `workers`.
+fn ranges(n: usize, workers: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let len = part_len(n, workers);
+    (0..n).step_by(len).map(move |lo| lo..(lo + len).min(n))
+}
+
+/// The length of every part but the last, possibly shorter, one when
+/// `n` items split over at most `workers` workers.
+fn part_len(n: usize, workers: usize) -> usize {
+    n.div_ceil(workers.clamp(1, n.max(1))).max(1)
+}
+
+/// Counts one helper call over `n` items, runs `run` with the worker
+/// count `tuner`'s floor allows, and feeds the call's wall time back to
+/// the tuner and to `busy_ns`.
+fn tuned<R>(
+    threads: usize,
+    tuner: &mut Tuner,
+    n: usize,
+    run: impl FnOnce(usize) -> Result<R, WorkerPanic>,
+) -> Result<R, WorkerPanic> {
+    count_call(n);
+    let workers = effective_threads(threads, n, tuner.min_items());
+    let t0 = Instant::now();
+    let result = run(workers);
+    let elapsed = t0.elapsed();
+    bump(&BUSY_NS, u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX), |c| &mut c.busy_ns);
+    if result.is_ok() {
+        tuner.observe(n, workers, elapsed);
     }
-    let chunk = n.div_ceil(threads);
-    let f = &f;
-    bump(&PARALLEL_CALLS, 1, |c| &mut c.parallel_calls);
-    let armed = hooks::armed();
-    let hook = armed.as_deref();
-    std::thread::scope(|s| {
-        let mut chunks = data.chunks_mut(chunk);
-        let first = chunks.next();
-        let mut handles = Vec::with_capacity(threads - 1);
-        for (k, part) in chunks.enumerate() {
-            let base = (k + 1) * chunk;
-            bump(&WORKERS, 1, |c| &mut c.workers_spawned);
-            handles.push(s.spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    hooks::maybe_inject(hook);
-                    for (j, slot) in part.iter_mut().enumerate() {
-                        f(base + j, slot);
-                    }
-                }))
-            }));
-        }
-        let mut result: Result<(), WorkerPanic> = Ok(());
-        if let Some(part) = first {
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                for (j, slot) in part.iter_mut().enumerate() {
-                    f(j, slot);
-                }
-            })) {
-                result = Err(WorkerPanic::from_payload(&*p));
-            }
-        }
-        for h in handles {
-            if let Err(p) = h.join().and_then(|r| r) {
-                if result.is_ok() {
-                    result = Err(WorkerPanic::from_payload(&*p));
-                }
-            }
-        }
-        result
-    })
+    result
 }
 
 /// Applies `f(i, &mut data[i])` to every element in place across up to
 /// `threads` workers, with a [`Tuner`] deciding the serial/parallel
 /// cutoff and learning from the call's measured throughput.
 ///
-/// The in-place sibling of [`par_init`] for when most elements keep
-/// their value (the FD engine's score-table refresh recomputes stale
-/// slots and leaves the rest untouched): `f` sees the previous value and
-/// may skip the write entirely. `f` must be pure per index and must not
-/// read *other* slots — each element is visited exactly once by exactly
-/// one worker, so under that contract the result is identical for any
-/// thread count.
+/// `f` sees the previous value and may skip the write entirely (the FD
+/// engine's score-table refresh recomputes stale slots and leaves the
+/// rest untouched); a fill from an index is an update that ignores it.
+/// `f` must be pure per index and must not read *other* slots — each
+/// element is visited exactly once by exactly one worker, so under that
+/// contract the result is identical for any thread count.
 ///
 /// # Errors
 ///
@@ -645,19 +567,16 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let n = data.len();
-    bump(&CALLS, 1, |c| &mut c.calls);
-    bump(&ITEMS, n as u64, |c| &mut c.items);
-    let workers = effective_threads_with(threads, n, tuner.min_items());
-    let t0 = Instant::now();
-    let result = par_update_inner(workers, data, f);
-    let elapsed = t0.elapsed();
-    let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-    bump(&BUSY_NS, ns, |c| &mut c.busy_ns);
-    if result.is_ok() {
-        tuner.observe(n, workers, elapsed);
-    }
-    result
+    tuned(threads, tuner, data.len(), |workers| {
+        let len = part_len(data.len(), workers);
+        let parts = data.chunks_mut(len).enumerate().map(|(k, part)| (k * len, part));
+        fan_out(parts, |(base, part)| {
+            for (j, slot) in part.iter_mut().enumerate() {
+                f(base + j, slot);
+            }
+        })
+        .map(drop)
+    })
 }
 
 /// Runs `f(i, &mut results)` for every `i in 0..n` and returns the
@@ -685,92 +604,26 @@ where
     R: Send,
     F: Fn(usize, &mut Vec<R>) + Sync,
 {
-    bump(&CALLS, 1, |c| &mut c.calls);
-    bump(&ITEMS, n as u64, |c| &mut c.items);
-    let workers = effective_threads_with(threads, n, tuner.min_items());
-    let t0 = Instant::now();
-    let result = par_flat_map_inner(workers, n, f);
-    let elapsed = t0.elapsed();
-    let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-    bump(&BUSY_NS, ns, |c| &mut c.busy_ns);
-    if result.is_ok() {
-        tuner.observe(n, workers, elapsed);
-    }
-    result
-}
-
-/// [`try_par_flat_map_tuned`] with the worker count already decided.
-fn par_flat_map_inner<R, F>(threads: usize, n: usize, f: F) -> Result<Vec<R>, WorkerPanic>
-where
-    R: Send,
-    F: Fn(usize, &mut Vec<R>) + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return catch_unwind(AssertUnwindSafe(|| {
+    tuned(threads, tuner, n, |workers| {
+        let parts = fan_out(ranges(n, workers), |range| {
             let mut out = Vec::new();
-            for i in 0..n {
+            for i in range {
                 f(i, &mut out);
             }
             out
-        }))
-        .map_err(|p| WorkerPanic::from_payload(&*p));
-    }
-    let chunk = n.div_ceil(threads);
-    let f = &f;
-    let mut parts: Vec<Vec<R>> = Vec::with_capacity(threads);
-    bump(&PARALLEL_CALLS, 1, |c| &mut c.parallel_calls);
-    let armed = hooks::armed();
-    let hook = armed.as_deref();
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads - 1);
-        for k in 1..threads {
-            let lo = k * chunk;
-            let hi = ((k + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            bump(&WORKERS, 1, |c| &mut c.workers_spawned);
-            handles.push(s.spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    hooks::maybe_inject(hook);
-                    let mut v = Vec::new();
-                    for i in lo..hi {
-                        f(i, &mut v);
-                    }
-                    v
-                }))
-            }));
-        }
-        let mut result: Result<(), WorkerPanic> = Ok(());
-        match catch_unwind(AssertUnwindSafe(|| {
-            let mut v = Vec::new();
-            for i in 0..chunk.min(n) {
-                f(i, &mut v);
-            }
-            v
-        })) {
-            Ok(v) => parts.push(v),
-            Err(p) => result = Err(WorkerPanic::from_payload(&*p)),
-        }
-        for h in handles {
-            match h.join().and_then(|r| r) {
-                Ok(v) => parts.push(v),
-                Err(p) => {
-                    if result.is_ok() {
-                        result = Err(WorkerPanic::from_payload(&*p));
-                    }
-                }
-            }
-        }
-        result
-    })?;
-    let total = parts.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend(p);
-    }
-    Ok(out)
+        })?;
+        // The first chunk's vector becomes the output, so a one-chunk
+        // call copies nothing.
+        let total: usize = parts.iter().map(Vec::len).sum();
+        Ok(parts
+            .into_iter()
+            .reduce(|mut out, part| {
+                out.reserve_exact(total - out.len());
+                out.extend(part);
+                out
+            })
+            .unwrap_or_default())
+    })
 }
 
 /// Sums `f(lo..hi)` over fixed-size blocks of `block` indices, combining
@@ -778,22 +631,9 @@ where
 ///
 /// Block boundaries depend only on `n` and `block` — never on the thread
 /// count — so every partial sum (and therefore the total, including its
-/// floating-point rounding) is bit-identical for any `threads`. Blocks
-/// are distributed over workers via [`par_init`].
-///
-/// # Panics
-///
-/// Panics on `block == 0` (a caller bug), and re-raises a panic from `f`
-/// (see [`try_par_block_sum`] for the typed-error variant).
-pub fn par_block_sum<F>(threads: usize, n: usize, block: usize, f: F) -> f64
-where
-    F: Fn(std::ops::Range<usize>) -> f64 + Sync,
-{
-    try_par_block_sum(threads, n, block, f).unwrap_or_else(|p| panic!("{p}"))
-}
-
-/// [`par_block_sum`] with panic isolation: a panicking `f` poisons only
-/// its chunk and surfaces as [`WorkerPanic`].
+/// floating-point rounding) is bit-identical for any `threads`. Whole
+/// blocks are distributed over workers under the fixed
+/// `MIN_ITEMS_PER_THREAD` floor, counted in items, not blocks.
 ///
 /// # Panics
 ///
@@ -809,28 +649,18 @@ pub fn try_par_block_sum<F>(
     f: F,
 ) -> Result<f64, WorkerPanic>
 where
-    F: Fn(std::ops::Range<usize>) -> f64 + Sync,
+    F: Fn(Range<usize>) -> f64 + Sync,
 {
     assert!(block > 0, "block size must be positive");
-    bump(&CALLS, 1, |c| &mut c.calls);
-    bump(&ITEMS, n as u64, |c| &mut c.items);
+    count_call(n);
     if n == 0 {
         return Ok(0.0);
     }
-    let blocks = n.div_ceil(block);
-    if blocks == 1 {
-        return catch_unwind(AssertUnwindSafe(|| f(0..n)))
-            .map_err(|p| WorkerPanic::from_payload(&*p));
-    }
-    let mut partial = vec![0.0f64; blocks];
-    // Granularity is decided on the underlying item count (each slot is a
-    // whole block of work), not on the handful of partial-sum slots.
-    par_init_inner(effective_threads(threads, n), &mut partial, |b| {
-        let lo = b * block;
-        let hi = (lo + block).min(n);
-        f(lo..hi)
+    let workers = effective_threads(threads, n, MIN_ITEMS_PER_THREAD);
+    let partial = fan_out(ranges(n.div_ceil(block), workers), |blocks| {
+        blocks.map(|b| f(b * block..((b + 1) * block).min(n))).collect::<Vec<f64>>()
     })?;
-    Ok(partial.iter().sum())
+    Ok(partial.iter().flatten().sum())
 }
 
 #[cfg(test)]
@@ -1025,18 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn par_init_matches_serial_for_every_thread_count() {
-        let n = 10_000;
-        let mut expect = vec![0u64; n];
-        par_init(1, &mut expect, |i| (i as u64).wrapping_mul(0x9e3779b9));
-        for threads in [2, 3, 4, 8, 17] {
-            let mut got = vec![0u64; n];
-            par_init(threads, &mut got, |i| (i as u64).wrapping_mul(0x9e3779b9));
-            assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn flat_map_preserves_order_and_filtering() {
         let n = 9_999;
         let f = |i: usize, out: &mut Vec<usize>| {
@@ -1052,23 +870,24 @@ mod tests {
     }
 
     #[test]
-    fn par_block_sum_is_bitwise_thread_independent() {
+    fn block_sum_is_bitwise_thread_independent() {
         // Sums of many different magnitudes expose any reassociation.
         let n = 50_000;
         let weight = |i: usize| ((i % 97) as f64).exp2() * 1e-7;
-        let f = |r: std::ops::Range<usize>| r.map(weight).sum::<f64>();
-        let expect = par_block_sum(1, n, 1024, f);
+        let f = |r: Range<usize>| r.map(weight).sum::<f64>();
+        let expect = try_par_block_sum(1, n, 1024, f).unwrap();
         for threads in [2, 3, 4, 8] {
-            let got = par_block_sum(threads, n, 1024, f);
+            let got = try_par_block_sum(threads, n, 1024, f).unwrap();
             assert_eq!(got.to_bits(), expect.to_bits(), "threads={threads}");
         }
     }
 
     #[test]
-    fn par_block_sum_handles_degenerate_sizes() {
-        assert_eq!(par_block_sum(4, 0, 16, |_| 1.0), 0.0);
-        assert_eq!(par_block_sum(4, 5, 16, |r| r.len() as f64), 5.0);
-        assert_eq!(par_block_sum(1, 33, 16, |r| r.len() as f64), 33.0);
+    fn block_sum_handles_degenerate_sizes() {
+        let sum = |threads, n, f: fn(Range<usize>) -> f64| try_par_block_sum(threads, n, 16, f);
+        assert_eq!(sum(4, 0, |_| 1.0), Ok(0.0));
+        assert_eq!(sum(4, 5, |r| r.len() as f64), Ok(5.0));
+        assert_eq!(sum(1, 33, |r| r.len() as f64), Ok(33.0));
     }
 
     #[test]
@@ -1077,7 +896,7 @@ mod tests {
         // lower bounds, never exact counts.
         let before = counters();
         let mut out = vec![0u64; 3 * MIN_ITEMS_PER_THREAD];
-        par_init(3, &mut out, |i| i as u64);
+        update(3, &mut out, |i, s| *s = i as u64).unwrap();
         let d = counters().since(before);
         assert!(d.calls >= 1, "{d:?}");
         assert!(d.parallel_calls >= 1, "{d:?}");
@@ -1086,14 +905,34 @@ mod tests {
         // A serial-path call bumps only `calls`.
         let before = counters();
         let mut small = vec![0u64; 4];
-        par_init(1, &mut small, |i| i as u64);
+        update(1, &mut small, |i, s| *s = i as u64).unwrap();
         assert!(counters().since(before).calls >= 1);
+    }
+
+    #[test]
+    fn ranges_are_contiguous_and_cover_every_index() {
+        let split = |n, workers| ranges(n, workers).collect::<Vec<_>>();
+        assert_eq!(split(9, 4), [0..3, 3..6, 6..9], "an uneven split needs fewer parts");
+        assert_eq!(split(10, 4), [0..3, 3..6, 6..9, 9..10]);
+        assert_eq!(split(5, 8), [0..1, 1..2, 2..3, 3..4, 4..5]);
+        assert_eq!((split(7, 1).len(), split(7, 1)[0].clone()), (1, 0..7));
+        assert!(split(0, 4).is_empty());
+    }
+
+    #[test]
+    fn a_fan_out_spawns_one_worker_per_extra_chunk() {
+        let before = thread_counters();
+        let mut data = vec![0u32; 2 * MIN_ITEMS_PER_THREAD];
+        update(2, &mut data, |i, s| *s = i as u32).unwrap();
+        flat_map(4, 10, |i, out| out.push(i)).unwrap();
+        let d = thread_counters().since(before);
+        assert_eq!((d.calls, d.parallel_calls, d.workers_spawned), (2, 1, 1), "{d:?}");
     }
 
     #[test]
     fn small_inputs_run_serially_but_correctly() {
         let mut out = vec![0usize; 10];
-        par_init(8, &mut out, |i| i + 1);
+        update(8, &mut out, |i, s| *s = i + 1).unwrap();
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
         let v = flat_map(8, 10, |i, out| out.push(i)).unwrap();
         assert_eq!(v, (0..10).collect::<Vec<_>>());
@@ -1122,11 +961,11 @@ mod tests {
         assert!(err.message().contains("last chunk dies"), "{err}");
 
         let mut out = vec![0u8; n];
-        let err = try_par_init(4, &mut out, |i| {
+        let err = update(4, &mut out, |i, s| {
             if i == 0 {
                 panic!("first chunk dies");
             }
-            1
+            *s = 1;
         })
         .unwrap_err();
         assert!(err.message().contains("first chunk dies"), "{err}");

@@ -9,16 +9,18 @@
 //! previously good placement survives a fault-map update without a full
 //! re-mapping run.
 //!
-//! A repair scans the mesh once, to list the free healthy cores; every
-//! relocation then searches that list, which the repair keeps exact as
-//! clusters take and leave cores. One repair therefore costs
-//! O(mesh + relocations × free cores).
+//! A repair scans the mesh once, to index the free healthy cores in the
+//! same bitset the multilevel projection uses; every relocation then
+//! searches it in rings outward from its anchor, and the repair keeps it
+//! exact as clusters take and leave cores. A relocation therefore costs
+//! about the ring it searches, not a scan of every free core.
 
 use std::fmt;
 
-use snnmap_hw::{Board, ChipId, Coord, CoreConstraints, FaultMap, HwError, Mesh, Placement};
+use snnmap_hw::{Board, ChipId, Coord, CoreConstraints, FaultMap, HwError, Placement};
 use snnmap_model::Pcn;
 
+use crate::free_cells::FreeCells;
 use crate::CoreError;
 
 /// One way a placement can violate the hardware's ground truth.
@@ -253,7 +255,7 @@ pub fn repair(
 ) -> Result<RepairOutcome, CoreError> {
     let report = validate(pcn, placement, faults, constraints)?;
     let mut staged = placement.clone();
-    let mut free = FreeCores::new(&staged, faults);
+    let mut free = FreeCells::new(&staged, faults);
     let mut outcome = RepairOutcome::default();
     for v in report.violations() {
         match *v {
@@ -261,16 +263,18 @@ pub fn repair(
             // but treat it like any dead core if a caller feeds one in.
             Violation::OnDeadCore { cluster, coord }
             | Violation::OnDeadChip { cluster, coord, .. } => {
-                let to =
-                    free.nearest(coord, |_| true).ok_or_else(|| insufficient(&staged, faults))?;
-                free.relocate(&mut staged, cluster, Some(to))?;
+                let to = free
+                    .take_nearest(coord, |_| true)
+                    .ok_or_else(|| insufficient(&staged, faults))?;
+                relocate(&mut free, &mut staged, faults, cluster, Some(to))?;
                 outcome.moved.push(RepairMove { cluster, from: Some(coord), to });
             }
             Violation::Unplaced { cluster } => {
                 let anchor = anchor_for(pcn, &staged, cluster);
-                let to =
-                    free.nearest(anchor, |_| true).ok_or_else(|| insufficient(&staged, faults))?;
-                free.relocate(&mut staged, cluster, Some(to))?;
+                let to = free
+                    .take_nearest(anchor, |_| true)
+                    .ok_or_else(|| insufficient(&staged, faults))?;
+                relocate(&mut free, &mut staged, faults, cluster, Some(to))?;
                 outcome.moved.push(RepairMove { cluster, from: None, to });
             }
             // A cluster on a dead core was relocated by its earlier
@@ -350,7 +354,7 @@ pub fn repair_board(
 ) -> Result<(RepairOutcome, Option<DegradedPlacement>), CoreError> {
     let report = validate_board(pcn, placement, faults, board)?;
     let mut staged = placement.clone();
-    let mut free = FreeCores::new(&staged, faults);
+    let mut free = FreeCells::new(&staged, faults);
     let mut outcome = RepairOutcome::default();
     let mut unplaced: Vec<u32> = Vec::new();
     // A cluster can carry several violations at once (e.g. dead core and
@@ -372,8 +376,8 @@ pub fn repair_board(
             | Violation::OnDeadChip { cluster, coord, .. }
             | Violation::CapacityExceeded { cluster, coord, .. } => {
                 let (neurons, synapses) = (pcn.neurons_in(cluster), pcn.synapses_in(cluster));
-                let to = free.nearest(coord, |c| board.admits(c, neurons, synapses));
-                free.relocate(&mut staged, cluster, to)?;
+                let to = free.take_nearest(coord, |c| board.admits(c, neurons, synapses));
+                relocate(&mut free, &mut staged, faults, cluster, to)?;
                 match to {
                     Some(to) => outcome.moved.push(RepairMove { cluster, from: Some(coord), to }),
                     None => {
@@ -385,9 +389,9 @@ pub fn repair_board(
             Violation::Unplaced { cluster } => {
                 let anchor = anchor_for(pcn, &staged, cluster);
                 let (neurons, synapses) = (pcn.neurons_in(cluster), pcn.synapses_in(cluster));
-                match free.nearest(anchor, |c| board.admits(c, neurons, synapses)) {
+                match free.take_nearest(anchor, |c| board.admits(c, neurons, synapses)) {
                     Some(to) => {
-                        free.relocate(&mut staged, cluster, Some(to))?;
+                        relocate(&mut free, &mut staged, faults, cluster, Some(to))?;
                         outcome.moved.push(RepairMove { cluster, from: None, to });
                     }
                     None => {
@@ -405,7 +409,7 @@ pub fn repair_board(
         let (demand_neurons, demand_synapses) = unplaced.iter().fold((0u64, 0u64), |(n, s), &c| {
             (n + u64::from(pcn.neurons_in(c)), s + pcn.synapses_in(c))
         });
-        let (spare_neurons, spare_synapses) = free.cores.iter().fold((0u64, 0u64), |(n, s), &c| {
+        let (spare_neurons, spare_synapses) = free.iter().fold((0u64, 0u64), |(n, s), c| {
             let con = board.constraints_at(c);
             (n + u64::from(con.neurons_per_core), s + con.synapses_per_core)
         });
@@ -421,64 +425,26 @@ pub fn repair_board(
     Ok((outcome, degraded))
 }
 
-/// The cores a repair may move a cluster to: free, unmasked and
-/// healthy. Built with one mesh scan; [`FreeCores::relocate`] keeps it
-/// exact as clusters take and leave cores, so a search costs
-/// O(free cores).
-struct FreeCores<'a> {
-    mesh: Mesh,
-    faults: Option<&'a FaultMap>,
-    /// In no particular order: [`FreeCores::nearest`] breaks every tie.
-    cores: Vec<Coord>,
-}
-
-impl<'a> FreeCores<'a> {
-    fn new(placement: &Placement, faults: Option<&'a FaultMap>) -> Self {
-        let mesh = placement.mesh();
-        let is_free = |c: Coord| placement.cluster_at(c).is_none() && healthy(placement, faults, c);
-        // Counted first, so the list is one allocation of the exact size
-        // rather than a chain of doubling reallocations.
-        let mut cores = Vec::with_capacity(mesh.iter().filter(|&c| is_free(c)).count());
-        cores.extend(mesh.iter().filter(|&c| is_free(c)));
-        FreeCores { mesh, faults, cores }
-    }
-
-    /// The free core nearest to `anchor` among those `admits` accepts
-    /// (Manhattan distance, then row-major index — fully deterministic).
-    fn nearest(&self, anchor: Coord, admits: impl Fn(Coord) -> bool) -> Option<Coord> {
-        self.cores
-            .iter()
-            .copied()
-            .filter(|&c| admits(c))
-            .min_by_key(|&c| (c.manhattan(anchor), self.mesh.index_of(c)))
-    }
-
-    /// Moves `cluster` to the free core `to`, or leaves it unplaced when
-    /// `to` is `None`. The core it leaves becomes free if it is healthy.
-    fn relocate(
-        &mut self,
-        placement: &mut Placement,
-        cluster: u32,
-        to: Option<Coord>,
-    ) -> Result<(), CoreError> {
-        if let Some(from) = placement.coord_of(cluster) {
-            placement.unplace(cluster)?;
-            if healthy(placement, self.faults, from) {
-                self.cores.push(from);
-            }
+/// Moves `cluster` to `to`, a core just taken from `free`, or leaves it
+/// unplaced when `to` is `None`. The core it leaves becomes free if it is
+/// healthy.
+fn relocate(
+    free: &mut FreeCells,
+    placement: &mut Placement,
+    faults: Option<&FaultMap>,
+    cluster: u32,
+    to: Option<Coord>,
+) -> Result<(), CoreError> {
+    if let Some(from) = placement.coord_of(cluster) {
+        placement.unplace(cluster)?;
+        if !placement.is_masked(from) && faults.map_or(true, |fm| !fm.is_dead(from)) {
+            free.insert(from);
         }
-        if let Some(to) = to {
-            placement.place(cluster, to)?;
-            let at = self.cores.iter().position(|&c| c == to);
-            self.cores.swap_remove(at.expect("a repair moves clusters only onto free cores"));
-        }
-        Ok(())
     }
-}
-
-/// Whether a cluster may sit on core `c`: neither masked nor dead.
-fn healthy(placement: &Placement, faults: Option<&FaultMap>, c: Coord) -> bool {
-    !placement.is_masked(c) && faults.map_or(true, |fm| !fm.is_dead(c))
+    if let Some(to) = to {
+        placement.place(cluster, to)?;
+    }
+    Ok(())
 }
 
 fn check_compatible(

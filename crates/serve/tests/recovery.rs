@@ -8,8 +8,8 @@
 //! fresh daemon is pointed at it. A running job whose checkpoint is in
 //! the retired `snnmap-checkpoint-v1` format is requeued and run from
 //! scratch rather than quarantined. The end-to-end `kill -9` of a live
-//! daemon process runs in CI (`serve` job), where a process can actually
-//! be killed; the recovery logic exercised is the same.
+//! `snnmap serve` process is `crates/cli/tests/resilience.rs`; the
+//! recovery logic exercised is the same.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
