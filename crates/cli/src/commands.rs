@@ -636,7 +636,8 @@ fn interrupted_exit(
 
 /// `snnmap serve`: run the mapping daemon until SIGINT/SIGTERM, then
 /// drain gracefully. Queued and interrupted jobs stay in the spool;
-/// restarting with the same `--spool-dir` resumes them.
+/// restarting with the same `--spool-dir` resumes them, at once under
+/// the same `--daemon-id` and after the lease TTL under a new one.
 pub fn serve(args: &[String]) -> Result<String, CliError> {
     let o = Opts::parse(
         args,

@@ -141,8 +141,11 @@ when configured), and exits 130; a second signal aborts immediately.
 resume when the daemon restarts with the same --spool-dir. Several
 daemons may share one --spool-dir: each running job holds a heartbeated
 LEASE file, and a daemon that dies has its jobs finished by a peer once
-the lease outlives --lease-ttl-ms. `--io-timeout-ms` bounds how long a
-client may take to deliver a request (slow clients get 408).
+the lease outlives --lease-ttl-ms. A daemon gets a fresh id on every
+start unless --daemon-id names one, so restart a killed daemon with
+its old --daemon-id to resume its own jobs at once instead of after
+the lease TTL. `--io-timeout-ms` bounds how long a client may take to
+deliver a request (slow clients get 408).
 
 SNNMAP_CHAOS=<seed>:<failpoint>=<fault>[@<trigger>],... arms seeded,
 replayable fault injection on every spool/checkpoint/socket sync point

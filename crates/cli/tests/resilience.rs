@@ -2,7 +2,8 @@
 //! binary: a `map` killed with SIGKILL mid-FD leaves a checkpoint that
 //! `resume` carries to the byte-identical placement of the uninterrupted
 //! run; a `serve` daemon killed with SIGKILL mid-job and restarted over
-//! the same spool serves that same placement; and a wall-clock deadline
+//! the same spool serves that same placement (at once when it keeps its
+//! `--daemon-id`); and a wall-clock deadline
 //! ends a run with a valid best-so-far placement, never an error.
 //!
 //! A resume rebuilds the engine's force state from the checkpoint's
@@ -99,17 +100,14 @@ fn sigkilled_map_resumes_to_the_uninterrupted_placement() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Starts `snnmap serve` on an ephemeral port over `spool` and returns
-/// the child with the address from its `listening on` line. The rest of
-/// its stderr is drained so the daemon never blocks on a full pipe.
-///
-/// Each start gets a fresh daemon id, so a restart takes a killed
-/// predecessor's job over by stealing its expired lease; the 1 s lease
-/// TTL keeps that wait short.
-fn start_daemon(spool: &Path) -> (Child, String) {
+/// Starts `snnmap serve` with `flags` on an ephemeral port over `spool`
+/// and returns the child with the address from its `listening on` line.
+/// The rest of its stderr is drained so the daemon never blocks on a
+/// full pipe.
+fn start_daemon(spool: &Path, flags: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_snnmap"))
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1", "--spool-dir", s(spool)])
-        .args(["--lease-ttl-ms", "1000"])
+        .args(flags)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -142,9 +140,13 @@ fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     (status, body)
 }
 
-#[test]
-fn sigkilled_daemon_resumes_its_job_to_the_offline_placement() {
-    let dir = workspace("serve_kill");
+/// Submits a job to a daemon started with `flags`, SIGKILLs the daemon
+/// as soon as the job's first checkpoint lands, restarts it with the
+/// same `flags` over the same spool, and checks that it serves the
+/// offline placement byte for byte. Returns how long the restarted
+/// daemon took to finish the job.
+fn kill_and_restart_daemon(name: &str, flags: &[&str]) -> Duration {
+    let dir = workspace(name);
     let pcn = dir.join("app.pcn");
     snnmap(&["gen", "--random", "20000,4", "--seed", "43", "--out", s(&pcn)]);
     let offline = dir.join("offline.json");
@@ -156,7 +158,7 @@ fn sigkilled_daemon_resumes_its_job_to_the_offline_placement() {
          \"threads\": 2, \"max_sweeps\": 40, \"checkpoint_every\": 1}}"
     );
     let spool = dir.join("spool");
-    let (mut daemon, addr) = start_daemon(&spool);
+    let (mut daemon, addr) = start_daemon(&spool, flags);
     let (status, response) = request(&addr, "POST", "/jobs", &job);
     assert_eq!(status, 201, "{response}");
 
@@ -168,7 +170,7 @@ fn sigkilled_daemon_resumes_its_job_to_the_offline_placement() {
     assert!(!job_dir.join("placement.json").exists(), "the kill must land mid-job");
     assert!(checkpoint_sweeps(&job_dir.join("checkpoint.json")) < 40);
 
-    let (mut daemon, addr) = start_daemon(&spool);
+    let (mut daemon, addr) = start_daemon(&spool, flags);
     let start = Instant::now();
     loop {
         let (status, body) = request(&addr, "GET", "/jobs/1", "");
@@ -182,6 +184,7 @@ fn sigkilled_daemon_resumes_its_job_to_the_offline_placement() {
         assert!(start.elapsed() < Duration::from_secs(300), "job not done after 300 s: {body}");
         std::thread::sleep(Duration::from_millis(20));
     }
+    let finished = start.elapsed();
     let (status, served) = request(&addr, "GET", "/jobs/1/placement", "");
     daemon.kill().unwrap();
     daemon.wait().unwrap();
@@ -191,6 +194,26 @@ fn sigkilled_daemon_resumes_its_job_to_the_offline_placement() {
         "the restarted daemon must serve the offline placement byte for byte"
     );
     let _ = std::fs::remove_dir_all(&dir);
+    finished
+}
+
+#[test]
+fn sigkilled_daemon_resumes_its_job_to_the_offline_placement() {
+    // Each start gets a fresh daemon id, so the restart takes the killed
+    // predecessor's job over by stealing its expired lease; the 1 s TTL
+    // keeps that wait short.
+    kill_and_restart_daemon("serve_kill", &["--lease-ttl-ms", "1000"]);
+}
+
+#[test]
+fn a_daemon_restarted_with_its_id_reenters_its_lease_at_once() {
+    // Under the same `--daemon-id` the restart owns the dead lease, so
+    // it resumes the job without waiting out the default 30 s TTL.
+    let finished = kill_and_restart_daemon("serve_same_id", &["--daemon-id", "alpha"]);
+    assert!(
+        finished < Duration::from_secs(15),
+        "the restart took {finished:?}: it waited for the lease to expire"
+    );
 }
 
 #[test]

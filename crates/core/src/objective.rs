@@ -634,12 +634,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// `IncrementalCongestion::build` and the heat-weighted
-        /// `rect_cost` bit-equal the grid-materializing oracles.
+        /// `rect_cost` bit-equal the grid-materializing oracles, on an
+        /// 80×80 mesh whose boxes fall on both sides of the walker's
+        /// 64-cell interior table.
         #[test]
         fn streamed_congestion_terms_bit_equal_the_grid_oracles(
             edges in prop::collection::vec((0u32..24, 0u32..24, 0.1f32..10.0), 1..60),
-            coords in prop::collection::vec((0u16..10, 0u16..10), 24),
-            heat in prop::collection::vec(1u64..1000, 100),
+            coords in prop::collection::vec((0u16..80, 0u16..80), 24),
+            heat in prop::collection::vec(1u64..1000, 80 * 80),
         ) {
             let mut b = PcnBuilder::new();
             for _ in 0..24 {
@@ -649,25 +651,25 @@ mod tests {
                 b.add_edge(f, t, w).unwrap();
             }
             let pcn = b.build().unwrap();
-            let inc = IncrementalCongestion::build(&pcn, &coords, 10, 10);
-            let mut want = vec![0i64; 100];
+            let inc = IncrementalCongestion::build(&pcn, &coords, 80, 80);
+            let mut want = vec![0i64; 80 * 80];
             for (f, t, w) in pcn.iter_edges() {
                 let w = f64::from(w);
                 oracle_walk(coords[f as usize], coords[t as usize], |x, y, v| {
-                    want[x * 10 + y] += (w * v * CONGESTION_SCALE).round() as i64;
+                    want[x * 80 + y] += (w * v * CONGESTION_SCALE).round() as i64;
                 });
             }
             prop_assert_eq!(inc.map(), &want[..]);
 
             let objective = Objective::Congestion { lambda_c: 1.0 };
-            let mut st = ObjectiveState::new(objective, 1.0, &pcn, &coords, 10, 10, None);
+            let mut st = ObjectiveState::new(objective, 1.0, &pcn, &coords, 80, 80, None);
             let (pos, mesh_x, mesh_y) = tables(&coords);
             st.apply_reweight(&heat, &pcn, &pos, &mesh_x, &mesh_y);
             let wf = st.terms.weight.clone().expect("nonzero heat installs a field");
             for (f, t, _) in pcn.iter_edges() {
                 let (s, t) = (coords[f as usize], coords[t as usize]);
                 let mut cost = 0.0;
-                oracle_walk(s, t, |x, y, v| cost += wf[x * 10 + y] * v);
+                oracle_walk(s, t, |x, y, v| cost += wf[x * 80 + y] * v);
                 prop_assert_eq!(st.terms.rect_cost(s, t).to_bits(), cost.to_bits());
             }
         }

@@ -1,6 +1,7 @@
 //! The `Expe` expected-traversal function (Algorithm 4, Appendix B).
 
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 use snnmap_hw::Coord;
 
@@ -62,8 +63,9 @@ pub fn expe(p: Coord, s: Coord, t: Coord) -> f64 {
 /// The full expectation grid of a normalized rectangle: entry
 /// `[i·(dy+1) + j]` is the probability the staircase from `(0,0)` to
 /// `(dx,dy)` visits `(i,j)`. The reference form of Algorithm 4, used by
-/// [`expe`] and as the test oracle of [`for_each_expe`], which streams
-/// the same values without materializing the grid.
+/// [`expe`], as the test oracle of [`for_each_expe`], which streams the
+/// same values without materializing the grid, and once, at 64×64, to
+/// build that walker's shared interior table.
 ///
 /// Note the grid is *not* symmetric under endpoint reversal: the walk
 /// runs straight once it hits the target row/column, so swapping source
@@ -101,15 +103,42 @@ thread_local! {
     static ROW: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Side of the shared interior table: boxes with `1 ≤ dx, dy < TABLE`
+/// read their interior from it.
+const TABLE: usize = 64;
+
+/// The interior of every staircase grid up to `TABLE × TABLE`.
+///
+/// Strictly inside the box (`i < dx`, `j < dy`) a cell receives
+/// `v(i−1, j)/2` and then `v(i, j−1)/2`, whatever the box's shape, so
+/// entry `[i][j]` bit-equals that cell in every grid that contains it.
+/// Built once per process from [`expectation_grid`] itself (32 KiB).
+fn interior() -> &'static [[f64; TABLE]; TABLE] {
+    static INTERIOR: OnceLock<Box<[[f64; TABLE]; TABLE]>> = OnceLock::new();
+    INTERIOR.get_or_init(|| {
+        let grid = expectation_grid(TABLE, TABLE);
+        let mut table = Box::new([[0.0; TABLE]; TABLE]);
+        for (i, row) in table.iter_mut().enumerate() {
+            row.copy_from_slice(&grid[i * (TABLE + 1)..][..TABLE]);
+        }
+        table
+    })
+}
+
 /// Streams the nonzero cells of [`expectation_grid`]`(dx, dy)` as
-/// `f(i, j, value)`, in row-major order, with one row of scratch
-/// (`dy + 1` floats, reused per thread) instead of the whole
+/// `f(i, j, value)`, in row-major order, without materializing the
 /// `(dx+1)(dy+1)` grid.
 ///
-/// The values bit-equal the grid's: row `i` of the scratch holds each
-/// cell's share from the row above, and the walk adds the share from the
-/// left before reading it, so every cell sees the same float operations
-/// in the same order as in [`expectation_grid`].
+/// The values bit-equal the grid's. Boxes with `1 ≤ dx, dy < 64` read
+/// their interior cells from one shared, lazily built table and carry
+/// the target column and row by their 1-D recurrences, adding each
+/// cell's share from above before its share from the left, as the grid
+/// does. No cell of such a box is zero, so every cell is emitted.
+/// Straight lines and larger boxes stream the grid through one row of
+/// scratch (`dy + 1` floats, reused per thread): row `i` of the scratch
+/// holds each cell's share from the row above, and the walk adds the
+/// share from the left before reading it, so every cell sees the same
+/// float operations in the same order as in [`expectation_grid`].
 ///
 /// # Examples
 ///
@@ -125,6 +154,26 @@ thread_local! {
 /// assert_eq!(cells, grid.iter().filter(|&&v| v != 0.0).count());
 /// ```
 pub fn for_each_expe(dx: usize, dy: usize, mut f: impl FnMut(usize, usize, f64)) {
+    if (1..TABLE).contains(&dx) && (1..TABLE).contains(&dy) {
+        let table = interior();
+        // `col` is the target column's cell of the last row emitted.
+        let mut col = 0.0;
+        for (i, row) in table[..dx].iter().enumerate() {
+            for (j, &v) in row[..dy].iter().enumerate() {
+                f(i, j, v);
+            }
+            col += row[dy - 1] / 2.0;
+            f(i, dy, col);
+        }
+        // The target row runs straight in y on top of its share from above.
+        let mut run = 0.0;
+        for (j, &above) in table[dx - 1][..dy].iter().enumerate() {
+            run += above / 2.0;
+            f(dx, j, run);
+        }
+        f(dx, dy, col + run);
+        return;
+    }
     // Taken out of the cell, so a nested call from `f` gets its own row.
     let mut row = ROW.with(|r| std::mem::take(&mut *r.borrow_mut()));
     row.clear();
@@ -156,8 +205,9 @@ pub fn for_each_expe(dx: usize, dy: usize, mut f: impl FnMut(usize, usize, f64))
 /// [`for_each_expe`] over the rectangle of a route `s → t`, in mesh
 /// coordinates: calls `f(x, y, value)` for every router the staircase
 /// from `s` to `t` can visit, `value` being its visit probability
-/// ([`expe`]). The cells come in the normalized grid's row-major order,
-/// mirrored into the quadrant the route occupies.
+/// ([`expe`]), bit-equal to [`expectation_grid`]'s. The cells come in
+/// the normalized grid's row-major order, mirrored into the quadrant the
+/// route occupies, so a float sum over them adds in the grid's order.
 pub fn for_each_route_expe(s: Coord, t: Coord, mut f: impl FnMut(usize, usize, f64)) {
     let dx = s.x.abs_diff(t.x) as usize;
     let dy = s.y.abs_diff(t.y) as usize;
@@ -225,6 +275,30 @@ mod tests {
                 seen += 1;
             });
             assert_eq!(seen, materialized(3, 1).len());
+        }
+    }
+
+    #[test]
+    fn route_walks_stream_the_grid_in_order_across_the_table_edge() {
+        // Boxes on both sides of the interior table's side (64), walked
+        // in all four quadrants: the `(x, y, bits)` sequence is the
+        // grid's row-major one, stepped away from the source.
+        let s = Coord::new(80, 80);
+        let step = |from: u16, sign: i32, k: usize| (i32::from(from) + sign * k as i32) as usize;
+        for dx in 0..=80 {
+            for dy in 0..=80 {
+                let grid = materialized(dx, dy);
+                for (sx, sy) in [(1, 1), (-1, 1), (1, -1), (-1, -1)] {
+                    let t = Coord::new(step(s.x, sx, dx) as u16, step(s.y, sy, dy) as u16);
+                    let want: Vec<_> = grid
+                        .iter()
+                        .map(|&(i, j, bits)| (step(s.x, sx, i), step(s.y, sy, j), bits))
+                        .collect();
+                    let mut got = Vec::new();
+                    for_each_route_expe(s, t, |x, y, v| got.push((x, y, v.to_bits())));
+                    assert_eq!(got, want, "{s} -> {t}");
+                }
+            }
         }
     }
 

@@ -59,7 +59,8 @@ pub struct ServeConfig {
     /// the spool may take it over.
     pub lease_ttl: Duration,
     /// This daemon's identity in `LEASE` files; `None` derives a
-    /// process-unique id.
+    /// process-unique id. A restart under the same id re-enters its own
+    /// leases at once; a fresh id waits `lease_ttl` for them to expire.
     pub daemon_id: Option<String>,
     /// Total per-connection deadline for reading a request (and the
     /// per-write socket timeout). Slow-loris and stalled-body clients
