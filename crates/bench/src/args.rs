@@ -1,6 +1,4 @@
-//! Minimal shared CLI option parsing for the experiment binaries.
-
-use std::collections::HashMap;
+//! The option parser `repro` shares across every artifact.
 
 /// Benchmark-scale presets: which Table 3 applications a run includes,
 /// by cluster count.
@@ -61,40 +59,21 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Parses `std::env::args`, exiting with a usage message on error or
-    /// `--help`.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!(
-                    "usage: [--scale small|medium|large|full] [--budget-secs N] \
-                     [--seed N] [--json PATH] [--sample N] [--threads N]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses an iterator of arguments.
+    /// Parses `--flag value` pairs in argument order.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown flags, missing or
-    /// malformed values, and `--help`.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// Returns a human-readable message for the first unknown, repeated,
+    /// valueless or malformed flag.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = Options::default();
-        let mut map = HashMap::new();
-        let mut it = args.peekable();
-        while let Some(flag) = it.next() {
-            if flag == "--help" || flag == "-h" {
-                return Err("snnmap experiment binary".to_string());
+        let mut seen = Vec::new();
+        while let Some(flag) = args.next() {
+            if seen.contains(&flag) {
+                return Err(format!("repeated flag `{flag}`"));
             }
-            let value = it.next().ok_or_else(|| format!("missing value for {flag}"))?;
-            map.insert(flag, value);
-        }
-        for (flag, value) in map {
+            let value = args.next().ok_or_else(|| format!("missing value for {flag}"))?;
+            let bad = || format!("bad {flag} `{value}`");
             match flag.as_str() {
                 "--scale" => {
                     opts.scale = match value.as_str() {
@@ -105,24 +84,14 @@ impl Options {
                         other => return Err(format!("unknown scale `{other}`")),
                     }
                 }
-                "--budget-secs" => {
-                    opts.budget_secs =
-                        value.parse().map_err(|_| format!("bad --budget-secs `{value}`"))?
-                }
-                "--seed" => {
-                    opts.seed = value.parse().map_err(|_| format!("bad --seed `{value}`"))?
-                }
-                "--sample" => {
-                    opts.congestion_sample =
-                        value.parse().map_err(|_| format!("bad --sample `{value}`"))?
-                }
-                "--threads" => {
-                    opts.threads =
-                        value.parse().map_err(|_| format!("bad --threads `{value}`"))?
-                }
+                "--budget-secs" => opts.budget_secs = value.parse().map_err(|_| bad())?,
+                "--seed" => opts.seed = value.parse().map_err(|_| bad())?,
+                "--sample" => opts.congestion_sample = value.parse().map_err(|_| bad())?,
+                "--threads" => opts.threads = value.parse().map_err(|_| bad())?,
                 "--json" => opts.json = Some(value.into()),
                 other => return Err(format!("unknown flag `{other}`")),
             }
+            seen.push(flag);
         }
         Ok(opts)
     }
@@ -166,6 +135,10 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "abc"]).is_err());
         assert!(parse(&["--scale", "tiny"]).is_err());
+        assert_eq!(parse(&["--seed", "1", "--seed", "2"]).unwrap_err(), "repeated flag `--seed`");
+        // With two bad flags, the first one in argument order is reported.
+        assert_eq!(parse(&["--seed", "x", "--bogus", "1"]).unwrap_err(), "bad --seed `x`");
+        assert_eq!(parse(&["--bogus", "1", "--seed", "x"]).unwrap_err(), "unknown flag `--bogus`");
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! The Figures 9–12 sweep: every method on every Table 3 benchmark.
+//! Figures 9–12 from one sweep: every method on every Table 3
+//! benchmark, rendered as the solve-time table of Figure 9 and the
+//! energy, latency and congestion tables of Figures 10–12.
 
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use snnmap_hw::{CostModel, Mesh};
 use snnmap_metrics::{evaluate_with, EvalOptions, MetricsReport};
 use snnmap_model::generators::{table3_suite, Table3Benchmark};
 
 use crate::args::Options;
 use crate::methods::Method;
+use crate::table::{fmt_value, Artifact, Table};
 
 /// One (benchmark, method) measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,7 +34,8 @@ pub struct RunRecord {
 }
 
 /// Runs `methods` over every Table 3 benchmark within the option's scale
-/// filter, evaluating each placement.
+/// filter, building each benchmark's PCN once and evaluating each
+/// placement. `repro comparison` runs [`Method::all`].
 ///
 /// Baselines get `options.budget_secs`; the proposed method runs
 /// unbudgeted (it finishes in seconds even at full scale, which is the
@@ -66,8 +71,7 @@ pub fn run_comparison(methods: &[Method], options: &Options) -> Vec<RunRecord> {
                 _ => Some(Duration::from_secs(options.budget_secs)),
             };
             eprintln!("[comparison] {name}: running {method}...");
-            let run = match method.run_with_threads(&pcn, mesh, budget, options.seed, options.threads)
-            {
+            let run = match method.run(&pcn, mesh, budget, options.seed, options.threads) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("[comparison] {name}/{method}: {e}");
@@ -98,21 +102,63 @@ pub fn run_comparison(methods: &[Method], options: &Options) -> Vec<RunRecord> {
     records
 }
 
-/// A column of a metric figure: display name plus metric selector.
-pub type MetricColumn = (&'static str, fn(&MetricsReport) -> f64);
+impl Artifact for Vec<RunRecord> {
+    /// Figure 9's solve times, then Figures 10–12.
+    fn render(&self, options: &Options) -> String {
+        let mut t = Table::new(&["Benchmark", "Clusters", "Method", "Time (s)", "Early stop"]);
+        for r in self {
+            t.row(&[
+                r.benchmark.clone(),
+                r.clusters.to_string(),
+                r.method.clone(),
+                fmt_value(r.elapsed_secs),
+                early_stop(r),
+            ]);
+        }
+        let scale = options.scale;
+        let mut out = format!(
+            "\nFigure 9: execution time (seconds) vs problem scale (scale: {scale:?}, \
+             baseline budget {}s)\n\n{}",
+            options.budget_secs,
+            t.render()
+        );
+        let figures: [(&str, &[MetricColumn]); 3] = [
+            ("Figure 10: energy consumption", &[("Energy", |m| m.energy)]),
+            (
+                "Figure 11: average / maximum latency",
+                &[("AvgLatency", |m| m.avg_latency), ("MaxLatency", |m| m.max_latency)],
+            ),
+            (
+                "Figure 12: average / maximum congestion",
+                &[("AvgCongestion", |m| m.avg_congestion), ("MaxCongestion", |m| m.max_congestion)],
+            ),
+        ];
+        for (title, columns) in figures {
+            out += &format!(
+                "\n{title}, normalized to Random (scale: {scale:?})\n\n{}",
+                metric_table(self, columns).render()
+            );
+        }
+        out
+    }
 
-/// Renders a Figures 10–12 style table: the selected metric columns per
+    fn json(&self) -> Value {
+        serde_json::to_value(self)
+    }
+}
+
+/// A column of a metric figure: display name plus metric selector.
+type MetricColumn = (&'static str, fn(&MetricsReport) -> f64);
+
+/// A Figures 10–12 style table: the selected metric columns per
 /// (benchmark, method), normalized to the same benchmark's `Random`
 /// record (the paper plots everything relative to the baseline). Rows
 /// whose benchmark has no Random record show absolute values.
-pub fn render_metric_table(
-    records: &[RunRecord],
-    columns: &[MetricColumn],
-) -> crate::table::Table {
+fn metric_table(records: &[RunRecord], columns: &[MetricColumn]) -> Table {
     let mut headers = vec!["Benchmark", "Method"];
     headers.extend(columns.iter().map(|(name, _)| *name));
     headers.push("Early stop");
-    let mut t = crate::table::Table::new(&headers);
+    let mut t = Table::new(&headers);
     for r in records {
         let baseline = records
             .iter()
@@ -123,14 +169,19 @@ pub fn render_metric_table(
             let v = f(&r.metrics);
             let cell = match baseline {
                 Some(b) if f(b) != 0.0 => format!("{:.3}", v / f(b)),
-                _ => crate::table::fmt_value(v),
+                _ => fmt_value(v),
             };
             cells.push(cell);
         }
-        cells.push(if r.early_stopped { "ES".to_string() } else { String::new() });
+        cells.push(early_stop(r));
         t.row(&cells);
     }
     t
+}
+
+/// The paper's "ES" marker for a budget-capped run.
+fn early_stop(r: &RunRecord) -> String {
+    if r.early_stopped { "ES".to_string() } else { String::new() }
 }
 
 /// The Table 3 suite filtered to the option's scale.

@@ -43,29 +43,15 @@ impl Method {
         }
     }
 
-    /// Runs the method on a PCN under a wall-clock budget.
+    /// Runs the method on a PCN under a wall-clock budget, with
+    /// `threads` workers for the proposed mapper (`0` = auto; baselines
+    /// are serial and ignore it). The proposed placement is bit-identical
+    /// for every thread count.
     ///
     /// # Errors
     ///
     /// [`CoreError::MeshTooSmall`] if the PCN outnumbers the cores.
     pub fn run(
-        &self,
-        pcn: &Pcn,
-        mesh: Mesh,
-        budget_limit: Option<Duration>,
-        seed: u64,
-    ) -> Result<MethodRun, CoreError> {
-        self.run_with_threads(pcn, mesh, budget_limit, seed, 0)
-    }
-
-    /// [`Method::run`] with an explicit worker-thread count for the
-    /// proposed mapper (`0` = auto; baselines are serial and ignore it).
-    /// The proposed placement is bit-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::MeshTooSmall`] if the PCN outnumbers the cores.
-    pub fn run_with_threads(
         &self,
         pcn: &Pcn,
         mesh: Mesh,
@@ -137,7 +123,7 @@ mod tests {
         let pcn = random_pcn(16, 3.0, 1).unwrap();
         let mesh = Mesh::new(4, 4).unwrap();
         for m in Method::all() {
-            let run = m.run(&pcn, mesh, None, 7).unwrap();
+            let run = m.run(&pcn, mesh, None, 7, 0).unwrap();
             assert!(run.placement.is_complete(), "{m}");
             assert!(!run.early_stopped, "{m}");
         }
@@ -155,7 +141,7 @@ mod tests {
     fn budgeted_run_flags_early_stop() {
         let pcn = random_pcn(100, 4.0, 2).unwrap();
         let mesh = Mesh::new(10, 10).unwrap();
-        let run = Method::TrueNorth.run(&pcn, mesh, Some(Duration::ZERO), 0).unwrap();
+        let run = Method::TrueNorth.run(&pcn, mesh, Some(Duration::ZERO), 0, 0).unwrap();
         assert!(run.early_stopped);
         assert!(run.placement.is_complete());
     }

@@ -4,6 +4,16 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
+use crate::args::Options;
+
+/// A paper artifact's records, as `repro` prints and dumps them.
+pub trait Artifact {
+    /// The text tables, rendered from the records.
+    fn render(&self, options: &Options) -> String;
+    /// The records `--json` writes.
+    fn json(&self) -> serde_json::Value;
+}
+
 /// A simple column-aligned text table for experiment output.
 ///
 /// # Examples
@@ -73,11 +83,6 @@ impl Table {
             fmt_row(&mut out, row);
         }
         out
-    }
-
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

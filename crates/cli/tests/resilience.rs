@@ -3,7 +3,8 @@
 //! `resume` carries to the byte-identical placement of the uninterrupted
 //! run; a `serve` daemon killed with SIGKILL mid-job and restarted over
 //! the same spool serves that same placement (at once when it keeps its
-//! `--daemon-id`); and a wall-clock deadline
+//! `--daemon-id`, and under a new id after stealing the dead peer's
+//! lease); and a wall-clock deadline
 //! ends a run with a valid best-so-far placement, never an error.
 //!
 //! A resume rebuilds the engine's force state from the checkpoint's
@@ -140,12 +141,12 @@ fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     (status, body)
 }
 
-/// Submits a job to a daemon started with `flags`, SIGKILLs the daemon
-/// as soon as the job's first checkpoint lands, restarts it with the
-/// same `flags` over the same spool, and checks that it serves the
-/// offline placement byte for byte. Returns how long the restarted
-/// daemon took to finish the job.
-fn kill_and_restart_daemon(name: &str, flags: &[&str]) -> Duration {
+/// Submits a job to a daemon started with `killed` flags, SIGKILLs it
+/// as soon as the job's first checkpoint lands, starts a survivor with
+/// `survivor` flags over the same spool, and checks that it serves the
+/// offline placement byte for byte. Returns how long the survivor took
+/// to finish the job, and its `/metrics` page.
+fn kill_and_restart_daemon(name: &str, killed: &[&str], survivor: &[&str]) -> (Duration, String) {
     let dir = workspace(name);
     let pcn = dir.join("app.pcn");
     snnmap(&["gen", "--random", "20000,4", "--seed", "43", "--out", s(&pcn)]);
@@ -158,7 +159,7 @@ fn kill_and_restart_daemon(name: &str, flags: &[&str]) -> Duration {
          \"threads\": 2, \"max_sweeps\": 40, \"checkpoint_every\": 1}}"
     );
     let spool = dir.join("spool");
-    let (mut daemon, addr) = start_daemon(&spool, flags);
+    let (mut daemon, addr) = start_daemon(&spool, killed);
     let (status, response) = request(&addr, "POST", "/jobs", &job);
     assert_eq!(status, 201, "{response}");
 
@@ -170,7 +171,7 @@ fn kill_and_restart_daemon(name: &str, flags: &[&str]) -> Duration {
     assert!(!job_dir.join("placement.json").exists(), "the kill must land mid-job");
     assert!(checkpoint_sweeps(&job_dir.join("checkpoint.json")) < 40);
 
-    let (mut daemon, addr) = start_daemon(&spool, flags);
+    let (mut daemon, addr) = start_daemon(&spool, survivor);
     let start = Instant::now();
     loop {
         let (status, body) = request(&addr, "GET", "/jobs/1", "");
@@ -186,6 +187,7 @@ fn kill_and_restart_daemon(name: &str, flags: &[&str]) -> Duration {
     }
     let finished = start.elapsed();
     let (status, served) = request(&addr, "GET", "/jobs/1/placement", "");
+    let (_, metrics) = request(&addr, "GET", "/metrics", "");
     daemon.kill().unwrap();
     daemon.wait().unwrap();
     assert_eq!(status, 200, "{served}");
@@ -194,7 +196,7 @@ fn kill_and_restart_daemon(name: &str, flags: &[&str]) -> Duration {
         "the restarted daemon must serve the offline placement byte for byte"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    finished
+    (finished, metrics)
 }
 
 #[test]
@@ -202,14 +204,35 @@ fn sigkilled_daemon_resumes_its_job_to_the_offline_placement() {
     // Each start gets a fresh daemon id, so the restart takes the killed
     // predecessor's job over by stealing its expired lease; the 1 s TTL
     // keeps that wait short.
-    kill_and_restart_daemon("serve_kill", &["--lease-ttl-ms", "1000"]);
+    let flags = ["--lease-ttl-ms", "1000"];
+    kill_and_restart_daemon("serve_kill", &flags, &flags);
+}
+
+#[test]
+fn a_survivor_daemon_on_a_shared_spool_finishes_a_killed_peers_job() {
+    // Two named daemons on one spool: `beta` steals the lease `alpha`
+    // held when it was SIGKILLed, and counts the takeover.
+    let (_, metrics) = kill_and_restart_daemon(
+        "serve_failover",
+        &["--lease-ttl-ms", "1500", "--daemon-id", "alpha"],
+        &["--lease-ttl-ms", "1500", "--daemon-id", "beta"],
+    );
+    let takeovers: f64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("snnmap_serve_lease_takeovers_total "))
+        .unwrap_or_else(|| panic!("no takeover counter in {metrics}"))
+        .trim()
+        .parse()
+        .unwrap();
+    assert!(takeovers >= 1.0, "beta reports {takeovers} lease takeovers");
 }
 
 #[test]
 fn a_daemon_restarted_with_its_id_reenters_its_lease_at_once() {
     // Under the same `--daemon-id` the restart owns the dead lease, so
     // it resumes the job without waiting out the default 30 s TTL.
-    let finished = kill_and_restart_daemon("serve_same_id", &["--daemon-id", "alpha"]);
+    let flags = ["--daemon-id", "alpha"];
+    let (finished, _) = kill_and_restart_daemon("serve_same_id", &flags, &flags);
     assert!(
         finished < Duration::from_secs(15),
         "the restart took {finished:?}: it waited for the lease to expire"

@@ -1,7 +1,10 @@
-//! Tracing never changes a run: with `--trace-timing off` two traces of
-//! the same map are byte-identical, and a traced map writes the same
-//! placement as an untraced one. Both run a 4,000-cluster PCN on a 64×64
-//! mesh with two threads, through the same entry point as the binary.
+//! Tracing never changes a run, and its stream follows the versioned
+//! schema: with `--trace-timing off` two traces of the same map are
+//! byte-identical, a traced map writes the same placement as an
+//! untraced one, and both a timing-off and a timed trace pass
+//! `snnmap_io::validate_trace`. Every test maps a 4,000-cluster PCN on a
+//! 64×64 mesh with two threads, through the same entry point as the
+//! binary.
 
 use std::path::PathBuf;
 
@@ -60,4 +63,18 @@ fn tracing_does_not_change_the_placement() {
     let plain = map(&dir, "plain.json", &[]);
     assert!(!plain.is_empty());
     assert!(plain == traced, "the untraced placement differs from the traced one");
+}
+
+#[test]
+fn timing_off_and_timed_traces_validate_against_the_schema() {
+    let dir = workspace("snnmap_cli_trace_schema");
+    for (name, timing) in [("off.jsonl", &["--trace-timing", "off"][..]), ("timed.jsonl", &[])] {
+        let trace = dir.join(name).to_str().unwrap().to_owned();
+        let flags = [&["--trace-out", trace.as_str()][..], timing].concat();
+        map(&dir, &format!("p_{name}.json"), &flags);
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let summary =
+            snnmap_io::validate_trace(&text).unwrap_or_else(|e| panic!("{name} is invalid: {e}"));
+        assert_eq!(summary.timing, timing.is_empty(), "{name}: wrong timing flag");
+    }
 }

@@ -210,16 +210,16 @@ pub fn refine_partition(
                     continue;
                 }
                 let c = cand as usize;
-                if con.admits(cl_neurons[c] + 1, cl_synapses[c] + fi) {
-                    match best_move {
-                        Some((g, _)) if g >= gain => {}
-                        _ => best_move = Some((gain, cand)),
-                    }
+                // Ties go to the lowest cluster id, so the choice does
+                // not depend on the map's iteration order.
+                let best = if con.admits(cl_neurons[c] + 1, cl_synapses[c] + fi) {
+                    &mut best_move
                 } else {
-                    match best_full {
-                        Some((g, _)) if g >= gain => {}
-                        _ => best_full = Some((gain, cand)),
-                    }
+                    &mut best_full
+                };
+                match *best {
+                    Some((g, b)) if g > gain || (g == gain && b < cand) => {}
+                    _ => *best = Some((gain, cand)),
                 }
             }
 
@@ -366,6 +366,24 @@ mod tests {
             let stats = refine_partition(&snn, &mut assignment, con, 5);
             assert!(stats.final_cut <= before + 1e-9, "seed {seed}");
             assert!((cut_weight(&snn, &assignment) - stats.final_cut).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn refinement_is_deterministic() {
+        // A dense chain's equal weights tie many gains; each run's maps
+        // hash with fresh keys, so an order-dependent tie-break shows.
+        let snn = crate::generators::DnnSpec::new(&[256; 4]).unwrap().build(42).unwrap();
+        let con = CoreConstraints::new(32, u64::MAX).unwrap();
+        let (_, first_fit) = partition_with_assignment(&snn, con).unwrap();
+        let refine = || {
+            let mut assignment = first_fit.clone();
+            let stats = refine_partition(&snn, &mut assignment, con, 8);
+            (assignment, stats)
+        };
+        let first = refine();
+        for _ in 0..3 {
+            assert!(refine() == first, "refinement depends on hash order");
         }
     }
 

@@ -7,10 +7,10 @@
 //! to an uninterrupted run, because the survivor resumes from the same
 //! provenance-checked checkpoint.
 //!
-//! The true `kill -9` two-process version runs in CI (`chaos` job);
-//! here the dead peer is reproduced by its exact on-disk remains: a
-//! spooled job, a mid-run checkpoint, and a `LEASE` whose heartbeat
-//! stopped long ago.
+//! The true `kill -9` two-process version is a test in
+//! `crates/cli/tests/resilience.rs`; here the dead peer is reproduced by
+//! its exact on-disk remains: a spooled job, a mid-run checkpoint, and a
+//! `LEASE` whose heartbeat stopped long ago.
 //!
 //! Two independent daemons given the same board job and the same
 //! whole-chip loss must also repair it to byte-identical placements.
